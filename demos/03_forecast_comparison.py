@@ -47,12 +47,16 @@ print(f"SETAR(2,{setar_fit.d1},{setar_fit.d2}) "
 H, M = 10, 5000
 
 
+# rolling_evaluate scores only the forecast means, so the rolling
+# forecasters skip the quantile bands.
 def forecast_sdar(history, H, M, seed):
-    return mc_forecast_sdar(sdar_fit, history[-1], H, M, seed)
+    return mc_forecast_sdar(sdar_fit, history[-1], H, M, seed,
+                            quantile_probs=())
 
 
 def forecast_setar(history, H, M, seed):
-    return mc_forecast_setar(setar_fit, history, H, M, seed)
+    return mc_forecast_setar(setar_fit, history, H, M, seed,
+                             quantile_probs=())
 
 
 acc_sdar = rolling_evaluate(forecast_sdar, train, test, H, M=M, seed=1,

@@ -95,6 +95,7 @@ __all__ = [
     "realized_volatility",
     "relative_efficiency",
     "residuals",
+    "rolling_evaluate",
     "sandwich_cov",
     "select_model",
     "select_setar",

@@ -260,11 +260,14 @@ def cmd_compare(args) -> int:
     sdar_fit = sdar_fits[select_model(sdar_fits)]
     setar_fit = select_setar(train, max_lag=args.max_lag, trim=args.trim)
 
+    # rolling_evaluate reads only the means, so skip the quantile bands.
     def sdar_forecaster(history, H, M, seed):
-        return mc_forecast_sdar(sdar_fit, history[-1], H, M, seed)
+        return mc_forecast_sdar(sdar_fit, history[-1], H, M, seed,
+                                quantile_probs=())
 
     def setar_forecaster(history, H, M, seed):
-        return mc_forecast_setar(setar_fit, history, H, M, seed)
+        return mc_forecast_setar(setar_fit, history, H, M, seed,
+                                 quantile_probs=())
 
     sdar_acc = rolling_evaluate(sdar_forecaster, train, test, args.horizon,
                                 args.mc, args.seed, args.mode)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from . import model as sdar_model
 from .model import PARAM_NAMES, SdarParams
@@ -182,6 +180,17 @@ def sandwich_cov(
     return SandwichMatrices(H_bar=h_bar, G=g), cov
 
 
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call.
+
+    scipy costs about a second to import and only a fit needs it, so
+    ``import sdar`` and the commands that never fit do not load it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _projected_grad(theta, grad, lower, upper):
     """Gradient with components pointing outside the box zeroed."""
     pg = grad.copy()
@@ -195,6 +204,8 @@ def _projected_grad(theta, grad, lower, upper):
 
 
 def _start_points(box: ParamBox, n_starts: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=5, scramble=True, seed=seed)
     unit = sampler.random(n_starts)
     span = box.upper - box.lower
@@ -280,7 +291,6 @@ def fit(
     )
     best_x = None
     best_f = np.inf
-    any_converged = False
     for x0 in starts:
         x0 = x0.copy()
         x0[4] = math.log(x0[4])
@@ -292,7 +302,6 @@ def fit(
             bounds=list(zip(lower_x, upper_x)),
             options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
         )
-        any_converged = any_converged or res.success
         if res.fun < best_f:
             best_f = res.fun
             best_x = res.x

@@ -11,7 +11,7 @@ MAPE, and two models are compared through relative-efficiency ratios
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,12 @@ class AccuracyReport:
 
 
 def _empirical_quantiles(paths: np.ndarray, probs) -> dict[float, np.ndarray]:
-    return {float(p): np.quantile(paths, p, axis=0) for p in sorted(probs)}
+    """Per-column empirical quantiles of ``paths`` in one ``np.quantile`` pass."""
+    probs = sorted(float(p) for p in probs)
+    if not probs:  # np.quantile would still partition the paths
+        return {}
+    qs = np.quantile(paths, probs, axis=0)
+    return dict(zip(probs, qs))
 
 
 def mc_forecast_sdar(
@@ -137,7 +142,9 @@ def rolling_evaluate(
     forecaster : callable
         ``forecaster(history, H, M, seed) -> ForecastResult`` where
         ``history`` is the full conditioning array up to the forecast
-        origin. Parameters are not re-estimated per origin.
+        origin. Parameters are not re-estimated per origin. Only
+        ``ForecastResult.means`` is read, so a forecaster may pass
+        ``quantile_probs=()`` to skip the quantile bands.
     mode : {"single-origin", "rolling-origin"}
         Single-origin issues one forecast from the end of the training
         window. Rolling issues a full H-step forecast from every origin

@@ -194,12 +194,22 @@ def a1_bound_closed_form(kind: PersistenceKind, p: PersistenceParams) -> float:
     return (1.0 + 2.0 * p.r) ** 2 / (8.0 * p.r * p.gamma0)
 
 
+_Y_MAX_CAP = 1e12
+
+
 def _default_y_max(p: PersistenceParams) -> float:
     # Past 10 * (gamma0/gamma1)^(1/2r) the objective's tails are
-    # monotone decreasing, so any interior maximum is captured.
+    # monotone decreasing, so any interior maximum is captured. With
+    # tiny gamma1 and small r that scale overflows a float, so it is
+    # first sized in log space and capped; for r <= 1/2 the supremum
+    # sits at y = 0 anyway.
     if p.gamma1 <= 0.0:
         return 10.0
-    scale = (max(abs(p.gamma0), 1.0) / p.gamma1) ** (1.0 / (2.0 * p.r))
+    g0 = max(abs(p.gamma0), 1.0)
+    log_scale = (math.log(g0) - math.log(p.gamma1)) / (2.0 * p.r)
+    if log_scale >= math.log(_Y_MAX_CAP / 10.0):
+        return _Y_MAX_CAP
+    scale = (g0 / p.gamma1) ** (1.0 / (2.0 * p.r))
     return max(10.0 * scale, 10.0)
 
 

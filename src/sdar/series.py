@@ -9,7 +9,7 @@ estimation window and an out-of-sample window.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -216,6 +216,12 @@ class TestCheck:
                    "--gamma1", "0.0", "--r", "0.5"])
         assert rc == 3
 
+    def test_tiny_gamma1_small_r_exit_0(self, capsys):
+        rc = main(["check", "--kind", "M1", "--gamma0", "0.4",
+                   "--gamma1", "1e-6", "--r", "0.001"])
+        assert rc == 0
+        assert "0.670320" in capsys.readouterr().out
+
     def test_from_fit_json(self, sdar_csv, tmp_path):
         fit_dir = tmp_path / "f3"
         main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M1",

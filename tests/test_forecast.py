@@ -14,7 +14,7 @@ from sdar import (
     rolling_evaluate,
     simulate,
 )
-from sdar.forecast import relative_efficiency_csv
+from sdar.forecast import _empirical_quantiles, relative_efficiency_csv
 
 from conftest import m1_truth
 
@@ -82,11 +82,36 @@ class TestMcForecastSdar:
             big.path_std[0] / 100.0
         )
 
+    def test_means_only_matches_default(self):
+        full = mc_forecast_sdar(m1_truth(), -3.0, H=6, M=2000, seed=7)
+        lean = mc_forecast_sdar(m1_truth(), -3.0, H=6, M=2000, seed=7,
+                                quantile_probs=())
+        assert lean.quantiles == {}
+        np.testing.assert_array_equal(lean.means, full.means)
+        np.testing.assert_array_equal(lean.path_std, full.path_std)
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             mc_forecast_sdar(m1_truth(), 0.0, H=0, M=10)
         with pytest.raises(ValueError):
             mc_forecast_sdar(m1_truth(), 0.0, H=3, M=0)
+
+
+class TestEmpiricalQuantiles:
+    @pytest.mark.parametrize("probs", [
+        (0.05, 0.25, 0.5, 0.75, 0.95),
+        (0.95, 0.5, 0.05, 0.75, 0.25),
+        (0.0, 1.0, 0.333),
+    ])
+    def test_one_pass_equals_per_probability_calls(self, probs):
+        paths = np.random.default_rng(0).standard_normal((10_000, 20))
+        got = _empirical_quantiles(paths, probs)
+        assert list(got) == sorted(probs)
+        for p in probs:
+            assert np.array_equal(got[p], np.quantile(paths, p, axis=0))
+
+    def test_no_probabilities_gives_empty_dict(self):
+        assert _empirical_quantiles(np.zeros((5, 3)), ()) == {}
 
 
 class TestEvaluateForecasts:

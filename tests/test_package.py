@@ -1,0 +1,67 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import sdar
+
+from conftest import gen_setar
+
+SRC = str(Path(sdar.__file__).resolve().parent.parent)
+
+SCIPY_LOADED = (
+    "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+)
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sdar.__all__ if not hasattr(sdar, name)]
+    assert missing == []
+    assert "rolling_evaluate" in sdar.__all__
+
+
+def test_import_and_non_fitting_commands_load_no_scipy(tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_text(
+        "value\n" + "\n".join(f"{v:.12g}" for v in gen_setar(400, seed=3)) + "\n"
+    )
+    code = f"""
+import sys
+import sdar
+assert not {SCIPY_LOADED}, "import sdar"
+from sdar.cli import main
+assert main(["check", "--kind", "M1", "--gamma0", "0.4", "--gamma1", "0.07",
+             "--r", "0.32", "--out", {str(tmp_path / 'check')!r}]) == 0
+assert not {SCIPY_LOADED}, "check"
+assert main(["fit-setar", "--input", {str(series)!r}, "--max-lag", "2",
+             "--out", {str(tmp_path / 'setar')!r}]) == 0
+assert not {SCIPY_LOADED}, "fit-setar"
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fit_loads_scipy_on_first_use():
+    code = f"""
+import sys
+import numpy as np
+import sdar
+assert not {SCIPY_LOADED}
+truth = sdar.SdarParams(-1.5, sdar.PersistenceParams(0.4, 0.3, 0.5), 1.0,
+                        sdar.PersistenceKind.M1)
+res = sdar.fit(sdar.simulate(truth, n=300, seed=1), sdar.PersistenceKind.M1,
+               n_starts=2, seed=0)
+assert np.isfinite(res.loglik)
+assert "scipy.optimize" in sys.modules
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr

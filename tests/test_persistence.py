@@ -234,6 +234,19 @@ class TestCheckAssumptions:
         p = PersistenceParams(2.0, 1.0, 0.25)
         assert abs(psi(M2, y, p) * y) > abs(psi(M2, 1e3, p) * 1e3)
 
+    @pytest.mark.parametrize("kind, gamma0, expected", [
+        (M1, 0.4, np.exp(-0.4)),
+        (M2, 1.5, 1.0 / 1.5),
+    ])
+    def test_tiny_gamma1_small_r_does_not_overflow(self, kind, gamma0, expected):
+        # (gamma0/gamma1)^(1/2r) overflows a float here; r <= 1/2 puts
+        # the supremum at y = 0, so the grid must agree with psi(0).
+        report = check_assumptions(kind, PersistenceParams(gamma0, 1e-6, 1e-3))
+        assert report.sup_bound_closed_form == pytest.approx(expected, rel=1e-12)
+        assert report.sup_bound_numeric == pytest.approx(expected, rel=1e-12)
+        assert report.grid_max_location == 0.0
+        assert report.a1_satisfied
+
     def test_ar1_subcase_flags_a2_false(self):
         report = check_assumptions(M1, PersistenceParams(0.5, 0.0, 1.0))
         assert report.a1_satisfied
