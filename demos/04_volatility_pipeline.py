@@ -14,7 +14,7 @@ import numpy as np
 
 from sdar import (
     PersistenceKind,
-    ReturnSeries,
+    TimeSeries,
     check_assumptions,
     fit,
     log_transform,
@@ -36,7 +36,7 @@ for t in range(n_days):
     log_vol[t] = prev
 ret = np.exp(log_vol) * rng.standard_normal(n_days)
 
-returns = ReturnSeries(ret)
+returns = TimeSeries(ret)
 vol = realized_volatility(returns, week_len=5)
 logvol = log_transform(vol)
 print(f"{n_days} daily returns -> {len(vol)} weekly volatility points")

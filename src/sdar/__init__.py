@@ -24,7 +24,6 @@ from .forecast import (
     rolling_evaluate,
 )
 from .model import (
-    LikelihoodEval,
     SdarParams,
     loglik,
     loglik_grad,
@@ -47,7 +46,6 @@ from .persistence import (
 )
 from .series import (
     IngestError,
-    ReturnSeries,
     TimeSeries,
     load_returns,
     log_transform,
@@ -64,11 +62,9 @@ __all__ = [
     "FitResult",
     "ForecastResult",
     "IngestError",
-    "LikelihoodEval",
     "ParamBox",
     "PersistenceKind",
     "PersistenceParams",
-    "ReturnSeries",
     "SandwichMatrices",
     "SdarParams",
     "SetarFit",

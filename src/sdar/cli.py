@@ -118,8 +118,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
 
 
 def _load_series(args) -> TimeSeries:
-    raw = load_returns(args.input, _column(args))
-    return TimeSeries(raw.values, raw.labels)
+    return load_returns(args.input, _column(args))
 
 
 def _column(args):

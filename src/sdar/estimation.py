@@ -152,7 +152,7 @@ def select_model(fits: list[FitResult]) -> int:
 
 
 def sandwich_cov(
-    params: SdarParams, series: TimeSeries, condition_on_first: bool = True
+    params: SdarParams, series: TimeSeries
 ) -> tuple[SandwichMatrices, np.ndarray]:
     """Sandwich covariance (1/n) Hbar^{-1} G Hbar^{-1} at `params`.
 
@@ -164,8 +164,8 @@ def sandwich_cov(
     """
     if len(series) < 6:
         raise ValueError("series too short for covariance estimation")
-    scores = sdar_model._per_obs_score(params, series, condition_on_first)
-    hess_t = sdar_model._per_obs_hess(params, series, condition_on_first)
+    scores = sdar_model._per_obs_score(params, series)
+    hess_t = sdar_model._per_obs_hess(params, series)
     n = scores.shape[1]
     h_bar = hess_t.sum(axis=2) / n
     g = (scores @ scores.T) / n
@@ -255,7 +255,6 @@ def fit(
     box: ParamBox | None = None,
     n_starts: int = 16,
     seed: int = 0,
-    condition_on_first: bool = True,
 ) -> FitResult:
     """Fit an SDAR model by multi-start box-constrained QML.
 
@@ -281,8 +280,8 @@ def fit(
         theta = x.copy()
         theta[4] = math.exp(x[4])
         params = SdarParams.from_array(theta, kind)
-        f = sdar_model.loglik(params, series, condition_on_first)
-        g = sdar_model.loglik_grad(params, series, condition_on_first)
+        f = sdar_model.loglik(params, series)
+        g = sdar_model.loglik_grad(params, series)
         g[4] *= theta[4]  # chain rule for ln sigma
         return -f, -g
 
@@ -310,14 +309,14 @@ def fit(
     theta[4] = math.exp(best_x[4])
     theta = np.clip(theta, box.lower, box.upper)
     params = SdarParams.from_array(theta, kind)
-    ll = sdar_model.loglik(params, series, condition_on_first)
-    grad = sdar_model.loglik_grad(params, series, condition_on_first)
+    ll = sdar_model.loglik(params, series)
+    grad = sdar_model.loglik_grad(params, series)
     pgrad = _projected_grad(theta, grad, box.lower, box.upper)
     grad_norm = float(np.linalg.norm(pgrad))
     converged = grad_norm <= _GTOL_REL * max(1.0, abs(ll))
 
     try:
-        _, cov = sandwich_cov(params, series, condition_on_first)
+        _, cov = sandwich_cov(params, series)
         diag = np.diag(cov)
         std_errors = np.sqrt(np.maximum(diag, 0.0))
     except np.linalg.LinAlgError:
@@ -329,14 +328,13 @@ def fit(
         box.upper - theta <= _BOUNDARY_REL * span
     )
 
-    n_obs = len(series) - 1 if condition_on_first else len(series)
     return FitResult(
         theta_hat=params,
         covariance=cov,
         std_errors=std_errors,
         loglik=ll,
         aic=aic(ll, 5),
-        n_obs=n_obs,
+        n_obs=len(series) - 1,
         converged=converged,
         n_starts=n_starts,
         grad_norm=grad_norm,

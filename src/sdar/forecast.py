@@ -73,6 +73,19 @@ def _empirical_quantiles(paths: np.ndarray, probs) -> dict[float, np.ndarray]:
     return dict(zip(probs, qs))
 
 
+def _summarize(paths: np.ndarray, seed: int, quantile_probs) -> ForecastResult:
+    """Fan summary of an (M, H) path array: means, quantiles, path std."""
+    M, H = paths.shape
+    return ForecastResult(
+        horizon=H,
+        means=paths.mean(axis=0),
+        quantiles=_empirical_quantiles(paths, quantile_probs),
+        M=M,
+        seed=seed,
+        path_std=paths.std(axis=0, ddof=1) if M > 1 else np.zeros(H),
+    )
+
+
 def mc_forecast_sdar(
     fit,
     y_n: float,
@@ -99,14 +112,7 @@ def mc_forecast_sdar(
         ps = np.asarray(psi(params.kind, state, params.pf))
         state = params.alpha + ps * state + eps[:, h]
         paths[:, h] = state
-    return ForecastResult(
-        horizon=H,
-        means=paths.mean(axis=0),
-        quantiles=_empirical_quantiles(paths, quantile_probs),
-        M=M,
-        seed=seed,
-        path_std=paths.std(axis=0, ddof=1) if M > 1 else np.zeros(H),
-    )
+    return _summarize(paths, seed, quantile_probs)
 
 
 def evaluate_forecasts(actuals, forecast: ForecastResult) -> AccuracyReport:

@@ -5,11 +5,12 @@ innovations xi_t ~ N(0, sigma^2). The full parameter vector is ordered
 theta = (alpha, gamma0, gamma1, r, sigma) everywhere; `SdarParams`
 round-trips to and from that flat layout.
 
-The quasi-log-likelihood is the exact Gaussian conditional likelihood,
-including the -0.5*ln(2*pi) constant so that AIC values are comparable
-across model families. Analytic gradient and Hessian come from the
-score / Hessian entries of the Gaussian conditional density combined
-with the persistence-function derivative stacks.
+The quasi-log-likelihood is the exact Gaussian likelihood conditional
+on the first observation, including the -0.5*ln(2*pi) constant so that
+AIC values are comparable across model families. Analytic gradient and
+Hessian come from the score / Hessian entries of the Gaussian
+conditional density combined with the persistence-function derivative
+stacks.
 """
 
 from __future__ import annotations
@@ -56,16 +57,6 @@ class SdarParams:
         return cls(alpha, PersistenceParams(g0, g1, r), sigma, kind)
 
 
-@dataclass(frozen=True)
-class LikelihoodEval:
-    """Total quasi-log-likelihood with its gradient and Hessian."""
-
-    loglik: float
-    grad: np.ndarray
-    hess: np.ndarray
-    n_used: int
-
-
 def simulate(
     params: SdarParams, n: int, seed: int, y0: float = 0.0
 ) -> TimeSeries:
@@ -92,34 +83,27 @@ def simulate(
     return TimeSeries(y)
 
 
-def _lag_and_target(series: TimeSeries, condition_on_first: bool):
-    y = series.values
-    if y.size < 2:
+def persistence_series(params: SdarParams, series: TimeSeries) -> np.ndarray:
+    """Fitted persistence values psi(y_{t-1}) for t = 2..n (length n-1)."""
+    if len(series) < 2:
         raise ValueError("series must have length >= 2")
-    if condition_on_first:
-        return y[:-1], y[1:]
-    return np.concatenate([[0.0], y[:-1]]), y
+    return np.asarray(psi(params.kind, series.values[:-1], params.pf))
 
 
-def residuals(
-    params: SdarParams, series: TimeSeries, condition_on_first: bool = True
-) -> np.ndarray:
+def residuals(params: SdarParams, series: TimeSeries) -> np.ndarray:
     """Innovation estimates xi_t = Y_t - alpha - psi(Y_{t-1}) * Y_{t-1}.
 
-    With ``condition_on_first`` the first observation is treated as
-    given (length n-1 output); otherwise the model's Y_0 = 0 convention
-    is used and the output has length n.
+    The first observation is conditioned on, so the output has length
+    n-1 (t = 2..n).
     """
-    lag, target = _lag_and_target(series, condition_on_first)
-    ps = np.asarray(psi(params.kind, lag, params.pf))
-    return target - params.alpha - ps * lag
+    ps = persistence_series(params, series)
+    lag = series.values[:-1]
+    return series.values[1:] - params.alpha - ps * lag
 
 
-def loglik(
-    params: SdarParams, series: TimeSeries, condition_on_first: bool = True
-) -> float:
+def loglik(params: SdarParams, series: TimeSeries) -> float:
     """Total Gaussian quasi-log-likelihood (constant included)."""
-    xi = residuals(params, series, condition_on_first)
+    xi = residuals(params, series)
     n = xi.size
     s = params.sigma
     return float(
@@ -129,16 +113,18 @@ def loglik(
     )
 
 
-def loglik_grad(
-    params: SdarParams, series: TimeSeries, condition_on_first: bool = True
-) -> np.ndarray:
+def _terms(params, series):
+    """Lagged states, innovations and the psi gradient stack (3, n-1)."""
+    xi = residuals(params, series)
+    lag = series.values[:-1]
+    return lag, xi, _grad_components(params.kind, lag, params.pf)
+
+
+def loglik_grad(params: SdarParams, series: TimeSeries) -> np.ndarray:
     """Analytic gradient of the total log-likelihood in theta order."""
-    lag, target = _lag_and_target(series, condition_on_first)
-    ps = np.asarray(psi(params.kind, lag, params.pf))
-    xi = target - params.alpha - ps * lag
+    lag, xi, pg = _terms(params, series)
     s = params.sigma
     s2 = s * s
-    pg = _grad_components(params.kind, lag, params.pf)  # (3, n)
     g = np.empty(5)
     g[0] = np.sum(xi) / s2
     g[1:4] = pg @ (xi * lag) / s2
@@ -146,22 +132,17 @@ def loglik_grad(
     return g
 
 
-def loglik_hess(
-    params: SdarParams, series: TimeSeries, condition_on_first: bool = True
-) -> np.ndarray:
+def loglik_hess(params: SdarParams, series: TimeSeries) -> np.ndarray:
     """Analytic 5x5 Hessian of the total log-likelihood in theta order."""
-    per_t = _per_obs_hess(params, series, condition_on_first)
+    per_t = _per_obs_hess(params, series)
     return per_t.sum(axis=2)
 
 
-def _per_obs_score(params, series, condition_on_first):
-    """Per-observation score vectors, shape (5, n)."""
-    lag, target = _lag_and_target(series, condition_on_first)
-    ps = np.asarray(psi(params.kind, lag, params.pf))
-    xi = target - params.alpha - ps * lag
+def _per_obs_score(params, series):
+    """Per-observation score vectors, shape (5, n-1)."""
+    lag, xi, pg = _terms(params, series)
     s = params.sigma
     s2 = s * s
-    pg = _grad_components(params.kind, lag, params.pf)
     out = np.empty((5, lag.size))
     out[0] = xi / s2
     out[1:4] = pg * (xi * lag) / s2
@@ -169,15 +150,12 @@ def _per_obs_score(params, series, condition_on_first):
     return out
 
 
-def _per_obs_hess(params, series, condition_on_first):
-    """Per-observation Hessian contributions, shape (5, 5, n)."""
-    lag, target = _lag_and_target(series, condition_on_first)
-    ps = np.asarray(psi(params.kind, lag, params.pf))
-    xi = target - params.alpha - ps * lag
+def _per_obs_hess(params, series):
+    """Per-observation Hessian contributions, shape (5, 5, n-1)."""
+    lag, xi, pg = _terms(params, series)
     s = params.sigma
     s2, s3, s4 = s * s, s**3, s**4
-    pg = _grad_components(params.kind, lag, params.pf)        # (3, n)
-    ph = psi_hess(params.kind, lag, params.pf)                # (3, 3, n)
+    ph = psi_hess(params.kind, lag, params.pf)                # (3, 3, n-1)
     n = lag.size
     h = np.empty((5, 5, n))
     h[0, 0] = -1.0 / s2
@@ -189,23 +167,3 @@ def _per_obs_hess(params, series, condition_on_first):
     h[1:4, 4] = h[4, 1:4] = -2.0 * xi * lag * pg / s3
     h[4, 4] = 1.0 / s2 - 3.0 * xi * xi / s4
     return h
-
-
-def evaluate(
-    params: SdarParams, series: TimeSeries, condition_on_first: bool = True
-) -> LikelihoodEval:
-    """Log-likelihood, gradient and Hessian in one call."""
-    xi = residuals(params, series, condition_on_first)
-    return LikelihoodEval(
-        loglik=loglik(params, series, condition_on_first),
-        grad=loglik_grad(params, series, condition_on_first),
-        hess=loglik_hess(params, series, condition_on_first),
-        n_used=xi.size,
-    )
-
-
-def persistence_series(params: SdarParams, series: TimeSeries) -> np.ndarray:
-    """Fitted persistence values psi(y_{t-1}) for t = 2..n (length n-1)."""
-    if len(series) < 2:
-        raise ValueError("series must have length >= 2")
-    return np.asarray(psi(params.kind, series.values[:-1], params.pf))

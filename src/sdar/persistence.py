@@ -60,11 +60,6 @@ class AssumptionReport:
     grid_max_location: float
 
 
-def _pow2r(y, r):
-    """|y|^(2r) with the value 0 at y = 0."""
-    return np.abs(y) ** (2.0 * r)
-
-
 def _log_y2(y):
     """ln(y^2) with a placeholder 0 at y = 0 (always multiplied by |y|^(2r))."""
     ay = np.atleast_1d(np.abs(np.asarray(y, dtype=float)))
@@ -74,15 +69,18 @@ def _log_y2(y):
     return out
 
 
+def _parts(kind, y, p):
+    """w = |y|^(2r) (0 at y = 0) and psi(y), without validating ``p``."""
+    w = np.abs(y) ** (2.0 * p.r)
+    if kind is PersistenceKind.M1:
+        return w, np.exp(-(p.gamma0 + p.gamma1 * w))
+    return w, 1.0 / (p.gamma0 + p.gamma1 * w)
+
+
 def psi(kind: PersistenceKind, y, p: PersistenceParams):
     """Evaluate the persistence function at state y (scalar or array)."""
     p.validate(kind)
-    y = np.asarray(y, dtype=float)
-    w = _pow2r(y, p.r)
-    if kind is PersistenceKind.M1:
-        out = np.exp(-(p.gamma0 + p.gamma1 * w))
-    else:
-        out = 1.0 / (p.gamma0 + p.gamma1 * w)
+    _, out = _parts(kind, np.asarray(y, dtype=float), p)
     return out if out.ndim else float(out)
 
 
@@ -103,7 +101,7 @@ def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
     dw = np.zeros_like(ay)
     nz = ay > 0
     dw[nz] = 2.0 * p.r * np.sign(y[nz]) * ay[nz] ** (2.0 * p.r - 1.0)
-    ps = np.atleast_1d(np.asarray(psi(kind, y, p)))
+    _, ps = _parts(kind, y, p)
     if kind is PersistenceKind.M1:
         out = -p.gamma1 * dw * ps
     else:
@@ -114,9 +112,8 @@ def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
 def _grad_components(kind, y, p):
     """Stacked (d/dgamma0, d/dgamma1, d/dr) of psi, vectorized in y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    w = _pow2r(y, p.r)
+    w, ps = _parts(kind, y, p)
     lg = _log_y2(y)
-    ps = np.atleast_1d(np.asarray(psi(kind, y, p)))
     if kind is PersistenceKind.M1:
         base = ps
     else:
@@ -148,9 +145,8 @@ def psi_hess(kind: PersistenceKind, y, p: PersistenceParams):
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
-    w = _pow2r(y_arr, p.r)
+    w, ps = _parts(kind, y_arr, p)
     lg = _log_y2(y_arr)
-    ps = np.asarray(psi(kind, y_arr, p))
     g1 = p.gamma1
 
     h = np.empty((3, 3, y_arr.size))

@@ -19,27 +19,6 @@ class IngestError(ValueError):
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Ordered daily log-returns, optionally with date labels."""
-
-    values: np.ndarray
-    labels: list[str] | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 1:
-            raise IngestError("return series must be a non-empty 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise IngestError("return series contains non-finite values")
-        if self.labels is not None and len(self.labels) != values.size:
-            raise IngestError("labels length does not match values length")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Ordered real-valued observations, the universal data carrier."""
 
@@ -60,7 +39,7 @@ class TimeSeries:
         return self.values.size
 
 
-def load_returns(path, column=None) -> ReturnSeries:
+def load_returns(path, column=None) -> TimeSeries:
     """Load a return series from a headered CSV file.
 
     Parameters
@@ -74,7 +53,7 @@ def load_returns(path, column=None) -> ReturnSeries:
 
     Returns
     -------
-    ReturnSeries
+    TimeSeries
         All parsed values in file order; blank lines are skipped.
     """
     try:
@@ -124,11 +103,11 @@ def load_returns(path, column=None) -> ReturnSeries:
                 labels.append(row[label_idx].strip())
     if not values:
         raise IngestError(f"{path}: no data rows")
-    return ReturnSeries(np.array(values), labels or None)
+    return TimeSeries(np.array(values), labels or None)
 
 
-def realized_volatility(returns: ReturnSeries, week_len: int = 5) -> TimeSeries:
-    """Weekly realized volatility from daily returns.
+def realized_volatility(returns: TimeSeries, week_len: int = 5) -> TimeSeries:
+    """Weekly realized volatility from a `TimeSeries` of daily returns.
 
     v_t = sqrt(sum of r_s^2 over week t), using fixed-length blocks of
     ``week_len`` consecutive returns. A trailing partial block is

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import ForecastResult, _empirical_quantiles
+from .forecast import ForecastResult, _summarize
 from .series import TimeSeries
 
 
@@ -236,11 +236,4 @@ def mc_forecast_setar(
         new = mean + sigma * eps[:, h]
         paths[:, h] = new
         state = np.concatenate([state[:, 1:], new[:, None]], axis=1)
-    return ForecastResult(
-        horizon=H,
-        means=paths.mean(axis=0),
-        quantiles=_empirical_quantiles(paths, quantile_probs),
-        M=M,
-        seed=seed,
-        path_std=paths.std(axis=0, ddof=1) if M > 1 else np.zeros(H),
-    )
+    return _summarize(paths, seed, quantile_probs)

@@ -15,7 +15,6 @@ from sdar import (
     ParamBox,
     PersistenceKind,
     PersistenceParams,
-    ReturnSeries,
     SdarParams,
     TimeSeries,
     a1_bound_closed_form,
@@ -360,7 +359,7 @@ class TestCriterion8StructuralAnchors:
 
     def test_weekly_aggregation_count(self):
         t0 = time.monotonic()
-        returns = ReturnSeries(np.random.default_rng(0).standard_normal(3890) * 0.01)
+        returns = TimeSeries(np.random.default_rng(0).standard_normal(3890) * 0.01)
         n_weeks = len(realized_volatility(returns, week_len=5))
         ok_weeks = n_weeks == 778
 

@@ -15,7 +15,7 @@ from sdar import (
     residuals,
     simulate,
 )
-from sdar.model import evaluate
+from sdar.model import _per_obs_score
 
 from conftest import m1_truth
 
@@ -74,9 +74,9 @@ class TestSimulate:
         # residuals at the true parameters recover the innovation draws
         p = m2_truth()
         y = simulate(p, 500, seed=11)
-        xi = residuals(p, y, condition_on_first=False)
+        xi = residuals(p, y)
         draws = np.random.default_rng(11).standard_normal(500) * p.sigma
-        np.testing.assert_allclose(xi, draws, atol=1e-12)
+        np.testing.assert_allclose(xi, draws[1:], atol=1e-12)
 
     def test_stationary_band(self):
         # contraction bound < 1 keeps paths near alpha/(1-psi); crude check
@@ -91,14 +91,13 @@ class TestSimulate:
 class TestResiduals:
     def test_lengths(self):
         y = simulate(m1_truth(), 40, seed=1)
-        assert residuals(m1_truth(), y, True).size == 39
-        assert residuals(m1_truth(), y, False).size == 40
+        assert residuals(m1_truth(), y).size == 39
 
     def test_hand_value(self):
         # y = (1, 2): xi_2 = 2 - alpha - psi(1)*1
         p = SdarParams(0.3, PersistenceParams(0.5, 0.2, 1.0), 1.0, M1)
         y = TimeSeries(np.array([1.0, 2.0]))
-        xi = residuals(p, y, condition_on_first=True)
+        xi = residuals(p, y)
         assert xi[0] == pytest.approx(2.0 - 0.3 - math.exp(-0.7))
 
 
@@ -115,26 +114,12 @@ class TestLoglik:
         p = SdarParams(0.0, PersistenceParams(30.0, 0.0, 1.0), 1.5, M1)
         vals = rng.standard_normal(200)
         y = TimeSeries(vals)
-        ll = loglik(p, y, condition_on_first=False)
-        mean_term = vals.copy()
-        mean_term[1:] -= math.exp(-30.0) * vals[:-1]
+        ll = loglik(p, y)
+        mean_term = vals[1:] - math.exp(-30.0) * vals[:-1]
         expected = np.sum(
             -0.5 * np.log(2 * np.pi) - np.log(1.5) - mean_term**2 / (2 * 1.5**2)
         )
         assert ll == pytest.approx(expected)
-
-    def test_conditioning_drops_first_term(self):
-        p = m1_truth()
-        y = simulate(p, 50, seed=5)
-        full = loglik(p, y, condition_on_first=False)
-        cond = loglik(p, y, condition_on_first=True)
-        xi0 = y.values[0] - p.alpha
-        first = (
-            -0.5 * math.log(2 * math.pi)
-            - math.log(p.sigma)
-            - xi0**2 / (2 * p.sigma**2)
-        )
-        assert full - cond == pytest.approx(first)
 
 
 class TestDerivatives:
@@ -183,14 +168,14 @@ class TestDerivatives:
         g = loglik_grad(p, y)
         assert abs(g[0]) < 1e-9 and abs(g[4]) < 1e-9
 
-    def test_evaluate_bundles_consistently(self):
-        p = m1_truth()
-        y = simulate(p, 100, seed=2)
-        ev = evaluate(p, y)
-        assert ev.loglik == loglik(p, y)
-        np.testing.assert_array_equal(ev.grad, loglik_grad(p, y))
-        np.testing.assert_array_equal(ev.hess, loglik_hess(p, y))
-        assert ev.n_used == 99
+    @pytest.mark.parametrize("params", [m1_truth(), m2_truth()])
+    def test_per_obs_score_sums_to_grad(self, params):
+        # the score that feeds the sandwich G matrix is the gradient's summand
+        y = simulate(params, 300, seed=24)
+        np.testing.assert_allclose(
+            _per_obs_score(params, y).sum(axis=1), loglik_grad(params, y),
+            rtol=1e-10,
+        )
 
 
 class TestPersistenceSeries:

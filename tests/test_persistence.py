@@ -78,13 +78,16 @@ class TestPsi:
             vals = psi(M2, y, p)
             assert np.all(vals > 0) and np.all(vals <= 1 / p.gamma0 + 1e-15)
 
-    def test_invalid_params(self):
+    @pytest.mark.parametrize(
+        "func", [psi, psi_dy, psi_grad, psi_hess], ids=lambda f: f.__name__
+    )
+    def test_invalid_params(self, func):
         with pytest.raises(ValueError):
-            psi(M2, 0.0, PersistenceParams(0.5, 0.1, 0.5))
+            func(M2, 0.0, PersistenceParams(0.5, 0.1, 0.5))
         with pytest.raises(ValueError):
-            psi(M1, 0.0, PersistenceParams(0.5, -0.1, 0.5))
+            func(M1, 0.0, PersistenceParams(0.5, -0.1, 0.5))
         with pytest.raises(ValueError):
-            psi(M1, 0.0, PersistenceParams(0.5, 0.1, 0.0))
+            func(M1, 0.0, PersistenceParams(0.5, 0.1, 0.0))
 
 
 class TestPsiDy:

@@ -3,7 +3,6 @@ import pytest
 
 from sdar import (
     IngestError,
-    ReturnSeries,
     TimeSeries,
     load_returns,
     log_transform,
@@ -58,32 +57,32 @@ class TestLoadReturns:
 
 class TestRealizedVolatility:
     def test_hand_arithmetic(self):
-        vol = realized_volatility(ReturnSeries(np.full(5, 0.01)), week_len=5)
+        vol = realized_volatility(TimeSeries(np.full(5, 0.01)), week_len=5)
         assert vol.values == pytest.approx([np.sqrt(5e-4)])
         assert vol.values[0] == pytest.approx(0.0223607, abs=1e-6)
 
     def test_floor_rule_drops_partial_week(self):
-        vol = realized_volatility(ReturnSeries(np.ones(12)), week_len=5)
+        vol = realized_volatility(TimeSeries(np.ones(12)), week_len=5)
         assert len(vol) == 2
 
     def test_3890_daily_returns_give_778_weeks(self):
-        returns = ReturnSeries(np.ones(3890) * 0.01)
+        returns = TimeSeries(np.ones(3890) * 0.01)
         assert len(realized_volatility(returns, week_len=5)) == 778
 
     def test_insufficient_data(self):
         with pytest.raises(IngestError, match="insufficient"):
-            realized_volatility(ReturnSeries(np.ones(4)), week_len=5)
+            realized_volatility(TimeSeries(np.ones(4)), week_len=5)
 
     def test_nonnegative_and_zero_iff_zero_week(self):
-        r = ReturnSeries(np.array([0.0, 0.0, 0.1, -0.1]))
+        r = TimeSeries(np.array([0.0, 0.0, 0.1, -0.1]))
         vol = realized_volatility(r, week_len=2)
         assert vol.values[0] == 0.0
         assert vol.values[1] > 0.0
 
     def test_sign_flip_invariance(self, rng):
         r = rng.standard_normal(50)
-        a = realized_volatility(ReturnSeries(r), 5).values
-        b = realized_volatility(ReturnSeries(-r), 5).values
+        a = realized_volatility(TimeSeries(r), 5).values
+        b = realized_volatility(TimeSeries(-r), 5).values
         np.testing.assert_allclose(a, b)
 
 
