@@ -103,29 +103,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Overlay values from --config for flags not given on the command line."""
+def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
+    """Overlay values from --config for flags not given on the command line.
+
+    A value is converted and checked like its flag's text. Keys naming
+    no option of the subcommand are ignored, so one config can serve a
+    whole pipeline; ``command`` and ``config`` are never overridden.
+    """
     if not args.config:
         return args
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise IngestError(f"{args.config}: config must be a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[args.command]._actions}
     given = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in config.items():
         key = key.replace("-", "_")
-        if hasattr(args, key) and key not in given:
-            setattr(args, key, value)
+        if key not in ("command", "config") and key not in given and hasattr(args, key):
+            setattr(args, key, _config_value(options[key], value))
     return args
 
 
+def _config_value(action: argparse.Action, value):
+    """``value`` converted by its flag's type and checked against its choices."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise TypeError("expected a string or a number")
+        value = (action.type or str)(str(value))
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"choose from {action.choices}")
+    except (TypeError, ValueError) as exc:
+        raise IngestError(
+            f"config value {value!r} for {action.option_strings[0]}: {exc}"
+        ) from None
+    return value
+
+
 def _load_series(args) -> TimeSeries:
-    return load_returns(args.input, _column(args))
-
-
-def _column(args):
     col = args.column
-    if col is not None and isinstance(col, str) and col.lstrip("-").isdigit():
-        return int(col)
-    return col
+    if isinstance(col, str) and col.lstrip("-").isdigit():
+        col = int(col)
+    return load_returns(args.input, col)
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -148,8 +168,7 @@ def _series_csv(values, label: str) -> str:
 
 def cmd_ingest(args) -> int:
     out_dir = Path(args.out)
-    returns = load_returns(args.input, _column(args))
-    vol = realized_volatility(returns, args.week_len)
+    vol = realized_volatility(_load_series(args), args.week_len)
     logvol = log_transform(vol)
     _write(out_dir, "volatility.csv", _series_csv(vol.values, "volatility"))
     _write(out_dir, "log_volatility.csv", _series_csv(logvol.values, "log_volatility"))
@@ -165,29 +184,27 @@ def _train_series(args) -> TimeSeries:
     return series
 
 
+def _fit_kinds(args, series: TimeSeries):
+    """Fit each kind named by --kind; return the kinds, fits and AIC choice."""
+    kinds = list(PersistenceKind) if args.kind == "both" else [PersistenceKind(args.kind)]
+    fits = [fit(series, k, n_starts=args.n_starts, seed=args.seed) for k in kinds]
+    return kinds, fits, select_model(fits)
+
+
 def cmd_fit_sdar(args) -> int:
     out_dir = Path(args.out)
     series = _train_series(args)
-    kinds = [PersistenceKind.M1, PersistenceKind.M2] if args.kind == "both" else [
-        PersistenceKind(args.kind)
-    ]
-    fits: list[FitResult] = []
-    for kind in kinds:
-        result = fit(series, kind, n_starts=args.n_starts, seed=args.seed)
-        fits.append(result)
+    kinds, fits, best = _fit_kinds(args, series)
+    for kind, result in zip(kinds, fits):
         _write(out_dir, f"fit_{kind.value}.json", result.to_json())
     rc = EXIT_OK if all(f.converged for f in fits) else EXIT_NO_CONVERGENCE
     if len(fits) > 1:
-        best = select_model(fits)
         verdict = {
             "selected": kinds[best].value,
             "aic": {k.value: f.aic for k, f in zip(kinds, fits)},
         }
         _write(out_dir, "selection.json", json.dumps(verdict, indent=2))
-        chosen = fits[best]
-    else:
-        chosen = fits[0]
-    ps = persistence_series(chosen.theta_hat, series)
+    ps = persistence_series(fits[best].theta_hat, series)
     _write(out_dir, "persistence_series.csv", _series_csv(ps, "persistence"))
     _manifest(args, out_dir)
     for kind, f in zip(kinds, fits):
@@ -251,12 +268,8 @@ def cmd_compare(args) -> int:
             f"horizon {args.horizon} exceeds test window of {len(test)}"
         )
 
-    kinds = [PersistenceKind.M1, PersistenceKind.M2] if args.kind == "both" else [
-        PersistenceKind(args.kind)
-    ]
-    sdar_fits = [fit(train, k, n_starts=args.n_starts, seed=args.seed)
-                 for k in kinds]
-    sdar_fit = sdar_fits[select_model(sdar_fits)]
+    _, sdar_fits, best = _fit_kinds(args, train)
+    sdar_fit = sdar_fits[best]
     setar_fit = select_setar(train, max_lag=args.max_lag, trim=args.trim)
 
     # rolling_evaluate reads only the means, so skip the quantile bands.
@@ -326,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except (IngestError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

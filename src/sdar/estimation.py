@@ -208,15 +208,19 @@ def _start_points(box: ParamBox, n_starts: int, seed: int) -> np.ndarray:
 
     sampler = qmc.Sobol(d=5, scramble=True, seed=seed)
     unit = sampler.random(n_starts)
+    return _interior(box, box.lower + unit * (box.upper - box.lower))
+
+
+def _interior(box: ParamBox, pts: np.ndarray) -> np.ndarray:
+    """Start point(s) with free coordinates clipped inside the box, pinned ones set."""
     span = box.upper - box.lower
-    pts = box.lower + unit * span
-    # Keep starts strictly interior where the box has width.
     free = span > 0
-    pts[:, free] = np.clip(
-        pts[:, free],
+    pts[..., free] = np.clip(
+        pts[..., free],
         (box.lower + 1e-4 * span)[free],
         (box.upper - 1e-4 * span)[free],
     )
+    pts[..., ~free] = box.lower[~free]
     return pts
 
 
@@ -237,16 +241,7 @@ def _warm_start(series: TimeSeries, kind: PersistenceKind, box: ParamBox):
     sigma = float(np.sqrt(np.mean(resid**2)))
     phi = float(np.clip(coef[1], 1e-3, 1.0 - 1e-3))
     g0 = -math.log(phi) if kind is PersistenceKind.M1 else 1.0 / phi
-    theta = np.array([coef[0], g0, 0.05, 0.5, max(sigma, 2e-4)])
-    span = box.upper - box.lower
-    free = span > 0
-    theta[free] = np.clip(
-        theta[free],
-        (box.lower + 1e-4 * span)[free],
-        (box.upper - 1e-4 * span)[free],
-    )
-    theta[~free] = box.lower[~free]
-    return theta
+    return _interior(box, np.array([coef[0], g0, 0.05, 0.5, max(sigma, 2e-4)]))
 
 
 def fit(

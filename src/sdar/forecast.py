@@ -54,14 +54,7 @@ class AccuracyReport:
         return self.mafe.size
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("h,mafe,msfe,mape\n")
-        for h in range(self.horizon):
-            buf.write(
-                f"{h + 1},{self.mafe[h]:.10g},{self.msfe[h]:.10g},"
-                f"{self.mape[h]:.10g}\n"
-            )
-        return buf.getvalue()
+        return relative_efficiency_csv(np.array([self.mafe, self.msfe, self.mape]))
 
 
 def _empirical_quantiles(paths: np.ndarray, probs) -> dict[float, np.ndarray]:
@@ -153,36 +146,30 @@ def rolling_evaluate(
         ``quantile_probs=()`` to skip the quantile bands.
     mode : {"single-origin", "rolling-origin"}
         Single-origin issues one forecast from the end of the training
-        window. Rolling issues a full H-step forecast from every origin
-        whose targets all lie inside the test window (origin o uses the
-        realized test values up to o), giving
+        window (origin 0 only). Rolling issues a full H-step forecast
+        from every origin whose targets all lie inside the test window
+        (origin o uses the realized test values up to o), giving
         ``len(test) - H + 1`` origins at every horizon.
     """
     train = series_train.values
     test = series_test.values
-    if mode == "single-origin":
-        if test.size < H:
-            raise ValueError(f"test window shorter than horizon {H}")
-        fc = forecaster(train, H, M, seed)
-        return evaluate_forecasts(test[:H], fc)
-    if mode != "rolling-origin":
+    if mode not in ("single-origin", "rolling-origin"):
         raise ValueError(f"unknown mode {mode!r}")
-    n_origins = test.size - H + 1
-    if n_origins < 1:
+    if test.size < H:
         raise ValueError(f"test window shorter than horizon {H}")
+    n_origins = 1 if mode == "single-origin" else test.size - H + 1
     abs_err = np.zeros(H)
     sq_err = np.zeros(H)
     pct_err = np.zeros(H)
     pct_count = np.zeros(H)
     for o in range(n_origins):
         history = np.concatenate([train, test[:o]])
-        fc = forecaster(history, H, M, seed + o)
         actual = test[o : o + H]
-        err = np.abs(actual - fc.means)
-        abs_err += err
-        sq_err += err**2
+        one = evaluate_forecasts(actual, forecaster(history, H, M, seed + o))
+        abs_err += one.mafe
+        sq_err += one.msfe
         nz = actual != 0.0
-        pct_err[nz] += err[nz] / np.abs(actual[nz])
+        pct_err[nz] += one.mape[nz]
         pct_count += nz
     with np.errstate(divide="ignore", invalid="ignore"):
         mape = np.where(pct_count > 0, pct_err / pct_count, np.nan)

@@ -216,23 +216,18 @@ def _a1_objective(kind, y, p):
 def a1_bound_numeric(
     kind: PersistenceKind,
     p: PersistenceParams,
-    y_max: float | None = None,
     grid_points: int = 100_000,
 ) -> float:
     """Grid maximum of |psi| + |y psi'| on a symmetric log-dense grid."""
-    loc, val = _a1_grid_max(kind, p, y_max, grid_points)
+    loc, val = _a1_grid_max(kind, p, grid_points)
     return val
 
 
-def _a1_grid_max(kind, p, y_max=None, grid_points=100_000):
+def _a1_grid_max(kind, p, grid_points=100_000):
     p.validate(kind)
     if grid_points < 1000:
         raise ValueError("grid_points must be >= 1000")
-    if y_max is None:
-        y_max = _default_y_max(p)
-    if y_max <= 0:
-        raise ValueError("y_max must be > 0")
-    half = np.geomspace(1e-12, y_max, grid_points // 2)
+    half = np.geomspace(1e-12, _default_y_max(p), grid_points // 2)
     grid = np.concatenate([-half[::-1], [0.0], half])
     vals = _a1_objective(kind, grid, p)
     k = int(np.argmax(vals))

@@ -23,7 +23,6 @@ class TimeSeries:
     """Ordered real-valued observations, the universal data carrier."""
 
     values: np.ndarray
-    labels: list[str] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -32,8 +31,6 @@ class TimeSeries:
             raise IngestError("time series must be a non-empty 1-d array")
         if not np.all(np.isfinite(values)):
             raise IngestError("time series contains non-finite values")
-        if self.labels is not None and len(self.labels) != values.size:
-            raise IngestError("labels length does not match values length")
 
     def __len__(self) -> int:
         return self.values.size
@@ -80,10 +77,8 @@ def load_returns(path, column=None) -> TimeSeries:
             if column not in header:
                 raise IngestError(f"{path}: no column named {column!r} in header")
             idx = header.index(column)
-        label_idx = 0 if (len(header) > 1 and idx != 0) else None
 
         values: list[float] = []
-        labels: list[str] = []
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -99,11 +94,9 @@ def load_returns(path, column=None) -> TimeSeries:
             if not np.isfinite(value):
                 raise IngestError(f"{path}: row {row_no}: non-finite value {cell!r}")
             values.append(value)
-            if label_idx is not None:
-                labels.append(row[label_idx].strip())
     if not values:
         raise IngestError(f"{path}: no data rows")
-    return TimeSeries(np.array(values), labels or None)
+    return TimeSeries(np.array(values))
 
 
 def realized_volatility(returns: TimeSeries, week_len: int = 5) -> TimeSeries:
@@ -123,11 +116,7 @@ def realized_volatility(returns: TimeSeries, week_len: int = 5) -> TimeSeries:
         )
     blocks = r[: n_weeks * week_len].reshape(n_weeks, week_len)
     vol = np.sqrt(np.sum(blocks**2, axis=1))
-    labels = None
-    if returns.labels is not None:
-        # Label each week by its last trading day.
-        labels = [returns.labels[(t + 1) * week_len - 1] for t in range(n_weeks)]
-    return TimeSeries(vol, labels)
+    return TimeSeries(vol)
 
 
 def log_transform(vol: TimeSeries) -> TimeSeries:
@@ -138,7 +127,7 @@ def log_transform(vol: TimeSeries) -> TimeSeries:
             f"nonpositive value {vol.values[bad[0]]} at index {bad[0]}; "
             "log transform requires strictly positive input"
         )
-    return TimeSeries(np.log(vol.values), vol.labels)
+    return TimeSeries(np.log(vol.values))
 
 
 def split(series: TimeSeries, n_train: int) -> tuple[TimeSeries, TimeSeries]:
@@ -148,9 +137,7 @@ def split(series: TimeSeries, n_train: int) -> tuple[TimeSeries, TimeSeries]:
         raise IngestError(
             f"n_train must satisfy 1 <= n_train < {n}, got {n_train}"
         )
-    head_labels = series.labels[:n_train] if series.labels is not None else None
-    tail_labels = series.labels[n_train:] if series.labels is not None else None
     return (
-        TimeSeries(series.values[:n_train], head_labels),
-        TimeSeries(series.values[n_train:], tail_labels),
+        TimeSeries(series.values[:n_train]),
+        TimeSeries(series.values[n_train:]),
     )

@@ -39,21 +39,9 @@ class SetarFit:
     loglik: float = float("nan")
 
     def to_json(self) -> str:
-        doc = {
-            "c1": self.c1,
-            "phi1": [float(v) for v in self.phi1],
-            "sigma1": self.sigma1,
-            "c2": self.c2,
-            "phi2": [float(v) for v in self.phi2],
-            "sigma2": self.sigma2,
-            "threshold": self.threshold,
-            "d1": self.d1,
-            "d2": self.d2,
-            "prop_low": self.prop_low,
-            "aic": self.aic,
-            "n_obs": self.n_obs,
-            "loglik": self.loglik,
-        }
+        doc = dict(vars(self))  # every field, in declaration order
+        doc["phi1"] = [float(v) for v in self.phi1]
+        doc["phi2"] = [float(v) for v in self.phi2]
         return json.dumps(doc, indent=2)
 
     @classmethod
@@ -64,13 +52,12 @@ class SetarFit:
         return cls(**doc)
 
 
-def _design(y: np.ndarray, d: int, p: int):
-    """Regression rows (1, y_{t-1}, ..., y_{t-d}) for targets y_t, t = p..n-1."""
+def _design(y: np.ndarray, p: int):
+    """Regression rows (1, y_{t-1}, ..., y_{t-p}) for targets y_t, t = p..n-1."""
     n = y.size
-    rows = n - p
-    x = np.empty((rows, d + 1))
+    x = np.empty((n - p, p + 1))
     x[:, 0] = 1.0
-    for i in range(1, d + 1):
+    for i in range(1, p + 1):
         x[:, i] = y[p - i : n - i]
     return x
 
@@ -91,25 +78,20 @@ def fit_setar(
         )
     target = y[p:]
     z = y[p - 1 : -1]  # threshold variable y_{t-1}, aligned with target
-    x1 = _design(y, d1, p)
-    x2 = _design(y, d2, p)
     rows = target.size
 
     order = np.argsort(z, kind="stable")
     z_sorted = z[order]
     t_sorted = target[order]
-    x1s = x1[order]
-    x2s = x2[order]
+    x = _design(y, p)[order]
 
-    # Prefix moments: cum[k] = moments of the first k sorted rows.
-    def prefix_moments(x):
-        xtx = np.cumsum(x[:, :, None] * x[:, None, :], axis=0)
-        xty = np.cumsum(x * t_sorted[:, None], axis=0)
-        return xtx, xty
-
-    xtx1, xty1 = prefix_moments(x1s)
-    xtx2, xty2 = prefix_moments(x2s)
+    # xtx[k], xty[k]: moments of the first k + 1 sorted rows. Each regime
+    # views its leading (d+1) block once; slicing per candidate costs ~5%.
+    xtx = np.cumsum(x[:, :, None] * x[:, None, :], axis=0)
+    xty = np.cumsum(x * t_sorted[:, None], axis=0)
     yty = np.cumsum(t_sorted**2)
+    xtx1, xty1 = xtx[:, : d1 + 1, : d1 + 1], xty[:, : d1 + 1]
+    xtx2, xty2 = xtx[:, : d2 + 1, : d2 + 1], xty[:, : d2 + 1]
 
     min_per_regime = p + 2
     lo_q, hi_q = np.quantile(z, [trim, 1.0 - trim])

@@ -113,7 +113,47 @@ class TestFitSdar:
         assert not (out / "fit_M2.json").exists()
 
 
+    def test_config_value_takes_the_flag_type(self, sdar_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "M1", "n_starts": "4"}))
+        out = tmp_path / "fite"
+        rc = main(["fit-sdar", "--input", str(sdar_csv),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["n_starts"] == 4
+
+    @pytest.mark.parametrize("bad", [{"n_starts": "four"}, {"n_starts": 2.5},
+                                     {"kind": "M3"}, {"seed": None}])
+    def test_bad_config_value_exit_1(self, sdar_csv, tmp_path, capsys, bad):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bad))
+        out = tmp_path / "fitf"
+        rc = main(["fit-sdar", "--input", str(sdar_csv),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFitSetar:
+    def test_config_cannot_switch_command(self, tmp_path, capsys):
+        y = gen_setar(600, seed=3)
+        path = write_returns(tmp_path, y)
+        config = tmp_path / "config.json"
+        # keys of other stages (n_starts, horizon) are ignored too
+        config.write_text(json.dumps({"command": "check", "config": "x.json",
+                                      "n_starts": 4, "horizon": 8, "max_lag": 2}))
+        out = tmp_path / "setarc"
+        rc = main(["fit-setar", "--input", str(path), "--config", str(config),
+                   "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "setar_fit.json").read_text())
+        assert doc["d1"] <= 2 and doc["d2"] <= 2
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "fit-setar"
+        assert manifest["config"]["max_lag"] == 2
+
     def test_fit_and_artifacts(self, tmp_path):
         y = gen_setar(600, seed=3)
         path = write_returns(tmp_path, y)

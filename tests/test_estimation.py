@@ -18,6 +18,8 @@ from sdar import (
     simulate,
 )
 
+from sdar.estimation import _start_points, _warm_start
+
 from conftest import gen_ar1, m1_truth
 
 M1, M2 = PersistenceKind.M1, PersistenceKind.M2
@@ -46,6 +48,29 @@ class TestParamBox:
     def test_rejects_nonpositive_sigma_floor(self):
         with pytest.raises(ValueError, match="sigma"):
             ParamBox(np.array([-1, -1, 0, 0.1, 0.0]), np.ones(5) * 2)
+
+
+class TestStartInterior:
+    # gamma1 and r pinned, as in the AR(1) reduction of criterion 4
+    BOX = ParamBox.default(M1).pin("gamma1", 0.0).pin("r", 0.7)
+
+    def assert_interior(self, pts):
+        box = self.BOX
+        free = box.upper > box.lower
+        pts = np.atleast_2d(pts)
+        assert np.all(pts[:, ~free] == box.lower[~free])
+        assert np.all(pts[:, free] > box.lower[free])
+        assert np.all(pts[:, free] < box.upper[free])
+
+    def test_sobol_starts(self):
+        self.assert_interior(_start_points(self.BOX, 16, seed=2))
+
+    def test_warm_start(self):
+        # a level far outside the alpha bounds forces the clip
+        y = 50.0 + gen_ar1(200, seed=3)
+        theta = _warm_start(TimeSeries(y), M1, self.BOX)
+        assert theta[0] == pytest.approx(self.BOX.upper[0] - 2e-3)
+        self.assert_interior(theta)
 
 
 class TestAicSelect:

@@ -180,6 +180,25 @@ class TestRollingEvaluate:
         np.testing.assert_allclose(rep.mafe, [1.0, 0.0, 1.0])
         assert rep.n_origins == 1
 
+    def test_single_origin_is_evaluate_forecasts(self):
+        # a forecaster that reads its history and seed, and a zero in
+        # the test window, so MAPE has an undefined horizon
+        def forecaster(history, H, M, seed):
+            return mc_forecast_sdar(m1_truth(), history[-1], H, M, seed)
+
+        y = simulate(m1_truth(), 220, seed=41).values
+        train = TimeSeries(y[:200])
+        test = TimeSeries(np.r_[y[200:202], 0.0, y[203:]])
+        rep = rolling_evaluate(
+            forecaster, train, test, H=5, M=500, seed=9, mode="single-origin"
+        )
+        direct = evaluate_forecasts(test.values[:5], forecaster(train.values, 5, 500, 9))
+        assert np.isnan(rep.mape[2])
+        np.testing.assert_array_equal(rep.mafe, direct.mafe)
+        np.testing.assert_array_equal(rep.msfe, direct.msfe)
+        assert np.array_equal(rep.mape, direct.mape, equal_nan=True)
+        assert rep.n_origins == direct.n_origins == 1
+
     def test_rolling_origin_count(self):
         # test window of H+1 points gives exactly 2 origins
         train = TimeSeries(np.zeros(20))

@@ -47,7 +47,6 @@ class TestLoadReturns:
         path = write(tmp_path, "date,ret\n2020-01-01,0.5\n")
         series = load_returns(path, 1)
         np.testing.assert_array_equal(series.values, [0.5])
-        assert series.labels == ["2020-01-01"]
 
     def test_date_column_default_last(self, tmp_path):
         path = write(tmp_path, "date,ret\n2020-01-01,0.5\n2020-01-02,-0.3\n")

@@ -59,12 +59,17 @@ class TestFitSetar:
                 np.r_[fit.c2, fit.phi2], b2, rtol=1e-8, atol=1e-10
             )
 
-    def test_asymmetric_lags(self, rng):
+    @pytest.mark.parametrize("d1, d2", [(1, 3), (3, 1), (4, 2)])
+    def test_asymmetric_lags(self, rng, d1, d2):
+        # each regime reads the leading block of one order-max(d1, d2)
+        # design, so the shorter regime must still match its own fit
         y = rng.standard_normal(400).cumsum() * 0.2
-        fit = fit_setar(TimeSeries(y), 1, 3)
-        ssr, thr, b1, b2 = brute_force_setar(y, 1, 3)
+        fit = fit_setar(TimeSeries(y), d1, d2)
+        ssr, thr, b1, b2 = brute_force_setar(y, d1, d2)
         assert fit.threshold == pytest.approx(thr)
-        assert fit.phi1.size == 1 and fit.phi2.size == 3
+        assert fit.phi1.size == d1 and fit.phi2.size == d2
+        np.testing.assert_allclose(np.r_[fit.c1, fit.phi1], b1, rtol=1e-8)
+        np.testing.assert_allclose(np.r_[fit.c2, fit.phi2], b2, rtol=1e-8)
 
     def test_recovers_known_threshold_and_coefficients(self):
         y = gen_setar(8000, seed=1)
