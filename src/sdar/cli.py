@@ -104,11 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Overlay values from --config for flags not given on the command line.
+    """Parse ``argv`` again with the --config values as the subcommand's defaults.
 
-    A value is converted and checked like its flag's text. Keys naming
-    no option of the subcommand are ignored, so one config can serve a
-    whole pipeline; ``command`` and ``config`` are never overridden.
+    argparse itself decides which flags were given (abbreviated ones too),
+    and those win. A value is converted and checked like its flag's text.
+    Keys naming no option of the subcommand are ignored, so one config can
+    serve a whole pipeline; ``command`` and ``config`` are never overridden.
     """
     if not args.config:
         return args
@@ -117,13 +118,15 @@ def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> argparse
     if not isinstance(config, dict):
         raise IngestError(f"{args.config}: config must be a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest: a for a in sub.choices[args.command]._actions}
-    given = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
+    subparser = sub.choices[args.command]
+    options = {a.dest: a for a in subparser._actions}
+    defaults = {}
     for key, value in config.items():
         key = key.replace("-", "_")
-        if key not in ("command", "config") and key not in given and hasattr(args, key):
-            setattr(args, key, _config_value(options[key], value))
-    return args
+        if key not in ("command", "config") and hasattr(args, key):
+            defaults[key] = _config_value(options[key], value)
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _config_value(action: argparse.Action, value):

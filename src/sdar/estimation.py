@@ -1,8 +1,11 @@
 """Quasi-maximum-likelihood estimation of SDAR parameters.
 
-Maximization is box-constrained quasi-Newton (L-BFGS-B) with analytic
-gradients, multi-started from a deterministic Sobol design over the
-parameter box; sigma is optimized on the log scale. Standard errors are
+Maximization is box-constrained quasi-Newton (L-BFGS-B) on the profile
+likelihood over phi = (gamma0, gamma1, r), multi-started from a
+deterministic Sobol design over the box. For fixed phi the likelihood is
+a concave quadratic in alpha and unimodal in sigma, so their box-
+constrained maximizers are clipped closed forms, and by Danskin's theorem
+the profile gradient is the phi block of the full gradient. Standard errors are
 the sandwich form (1/n) * Hbar^{-1} G Hbar^{-1} with Hbar the empirical
 mean Hessian and G the empirical mean outer product of per-observation
 scores, both evaluated at the estimate.
@@ -24,6 +27,7 @@ from .series import TimeSeries
 _GTOL_REL = 1e-6
 _BOUNDARY_REL = 1e-6
 _COND_LIMIT = 1e12
+_PHI = slice(1, 4)  # (gamma0, gamma1, r) within theta
 
 
 @dataclass(frozen=True)
@@ -204,28 +208,28 @@ def _projected_grad(theta, grad, lower, upper):
 
 
 def _start_points(box: ParamBox, n_starts: int, seed: int) -> np.ndarray:
+    """phi columns of a scrambled Sobol design over theta, cut from a power-of-two draw."""
     from scipy.stats import qmc
 
     sampler = qmc.Sobol(d=5, scramble=True, seed=seed)
-    unit = sampler.random(n_starts)
-    return _interior(box, box.lower + unit * (box.upper - box.lower))
+    unit = sampler.random_base2((n_starts - 1).bit_length())[:n_starts, _PHI]
+    return _interior(box, box.lower[_PHI] + unit * (box.upper - box.lower)[_PHI])
 
 
 def _interior(box: ParamBox, pts: np.ndarray) -> np.ndarray:
-    """Start point(s) with free coordinates clipped inside the box, pinned ones set."""
-    span = box.upper - box.lower
+    """phi start point(s) with free coordinates clipped inside the box, pinned ones set."""
+    lower, upper = box.lower[_PHI], box.upper[_PHI]
+    span = upper - lower
     free = span > 0
     pts[..., free] = np.clip(
-        pts[..., free],
-        (box.lower + 1e-4 * span)[free],
-        (box.upper - 1e-4 * span)[free],
+        pts[..., free], (lower + 1e-4 * span)[free], (upper - 1e-4 * span)[free]
     )
-    pts[..., ~free] = box.lower[~free]
+    pts[..., ~free] = lower[~free]
     return pts
 
 
 def _warm_start(series: TimeSeries, kind: PersistenceKind, box: ParamBox):
-    """Data-informed start: AR(1) least squares mapped into SDAR space.
+    """Data-informed phi start: the AR(1) least-squares slope mapped into SDAR space.
 
     The surface has a poor local maximum where the persistence term
     vanishes and the model degenerates to iid noise around the mean;
@@ -237,11 +241,18 @@ def _warm_start(series: TimeSeries, kind: PersistenceKind, box: ParamBox):
     lag, target = y[:-1], y[1:]
     X = np.column_stack([np.ones(lag.size), lag])
     coef, *_ = np.linalg.lstsq(X, target, rcond=None)
-    resid = target - X @ coef
-    sigma = float(np.sqrt(np.mean(resid**2)))
     phi = float(np.clip(coef[1], 1e-3, 1.0 - 1e-3))
     g0 = -math.log(phi) if kind is PersistenceKind.M1 else 1.0 / phi
-    return _interior(box, np.array([coef[0], g0, 0.05, 0.5, max(sigma, 2e-4)]))
+    return _interior(box, np.array([g0, 0.05, 0.5]))
+
+
+def _profile(phi, series: TimeSeries, kind: PersistenceKind, box: ParamBox) -> SdarParams:
+    """theta at phi with alpha and sigma at their box-constrained maximizers."""
+    theta = np.array([0.0, *phi, 1.0])
+    u = sdar_model.residuals(SdarParams.from_array(theta, kind), series)
+    theta[0] = np.clip(np.mean(u), box.lower[0], box.upper[0])
+    theta[4] = np.clip(np.sqrt(np.mean((u - theta[0]) ** 2)), box.lower[4], box.upper[4])
+    return SdarParams.from_array(theta, kind)
 
 
 def fit(
@@ -253,10 +264,11 @@ def fit(
 ) -> FitResult:
     """Fit an SDAR model by multi-start box-constrained QML.
 
-    Returns the best local maximum over ``n_starts`` L-BFGS-B runs
-    started from a scrambled Sobol design over the box (deterministic
-    given ``seed``). `converged` reflects the projected-gradient norm
-    at the incumbent, re-checked with the analytic gradient.
+    Returns the best local maximum of the profile likelihood in phi over
+    an AR(1) warm start and ``n_starts`` L-BFGS-B runs started from a
+    scrambled Sobol design over the box (deterministic given ``seed``).
+    `converged` reflects the projected-gradient norm of the full
+    likelihood at the incumbent, re-checked with the analytic gradient.
     """
     if len(series) < 20:
         raise ValueError("series too short: need at least 20 observations")
@@ -265,45 +277,30 @@ def fit(
     if box is None:
         box = ParamBox.default(kind)
 
-    # Optimize x = (alpha, gamma0, gamma1, r, ln sigma).
-    lower_x = box.lower.copy()
-    upper_x = box.upper.copy()
-    lower_x[4] = math.log(box.lower[4])
-    upper_x[4] = math.log(box.upper[4])
-
-    def neg_ll_and_grad(x):
-        theta = x.copy()
-        theta[4] = math.exp(x[4])
-        params = SdarParams.from_array(theta, kind)
-        f = sdar_model.loglik(params, series)
-        g = sdar_model.loglik_grad(params, series)
-        g[4] *= theta[4]  # chain rule for ln sigma
-        return -f, -g
+    def neg_profile_and_grad(phi):
+        params = _profile(phi, series, kind, box)
+        return -sdar_model.loglik(params, series), -sdar_model.loglik_grad(params, series)[_PHI]
 
     starts = np.vstack(
         [_warm_start(series, kind, box), _start_points(box, n_starts, seed)]
     )
-    best_x = None
-    best_f = np.inf
-    for x0 in starts:
-        x0 = x0.copy()
-        x0[4] = math.log(x0[4])
+    best_f, best_phi = np.inf, None
+    for phi0 in starts:
         res = minimize(
-            neg_ll_and_grad,
-            x0,
+            neg_profile_and_grad,
+            phi0,
             jac=True,
             method="L-BFGS-B",
-            bounds=list(zip(lower_x, upper_x)),
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
+            bounds=list(zip(box.lower[_PHI], box.upper[_PHI])),
+            # no relative-reduction stop: it ends runs early on the profile's flat ridges
+            options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-10},
         )
         if res.fun < best_f:
             best_f = res.fun
-            best_x = res.x
+            best_phi = res.x
 
-    theta = best_x.copy()
-    theta[4] = math.exp(best_x[4])
-    theta = np.clip(theta, box.lower, box.upper)
-    params = SdarParams.from_array(theta, kind)
+    params = _profile(best_phi, series, kind, box)
+    theta = params.to_array()
     ll = sdar_model.loglik(params, series)
     grad = sdar_model.loglik_grad(params, series)
     pgrad = _projected_grad(theta, grad, box.lower, box.upper)

@@ -154,6 +154,20 @@ class TestFitSetar:
         assert manifest["command"] == "fit-setar"
         assert manifest["config"]["max_lag"] == 2
 
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        # argparse accepts the unique prefix --max-l for --max-lag
+        path = write_returns(tmp_path, gen_setar(600, seed=3))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_lag": 3}))
+        out = tmp_path / "setarp"
+        rc = main(["fit-setar", "--input", str(path), "--max-l", "1",
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["max_lag"] == 1
+        doc = json.loads((out / "setar_fit.json").read_text())
+        assert doc["d1"] == doc["d2"] == 1
+
     def test_fit_and_artifacts(self, tmp_path):
         y = gen_setar(600, seed=3)
         path = write_returns(tmp_path, y)

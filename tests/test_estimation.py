@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from sdar import (
     aic,
     fit,
     loglik,
+    loglik_grad,
     sandwich_cov,
     select_model,
     simulate,
 )
 
-from sdar.estimation import _start_points, _warm_start
+from sdar.estimation import _profile, _start_points, _warm_start
 
-from conftest import gen_ar1, m1_truth
+from conftest import gen_ar1, m1_identified_truth, m1_truth
 
 M1, M2 = PersistenceKind.M1, PersistenceKind.M2
 
@@ -55,22 +57,91 @@ class TestStartInterior:
     BOX = ParamBox.default(M1).pin("gamma1", 0.0).pin("r", 0.7)
 
     def assert_interior(self, pts):
-        box = self.BOX
-        free = box.upper > box.lower
+        # starts live in phi = (gamma0, gamma1, r)
+        lower, upper = self.BOX.lower[1:4], self.BOX.upper[1:4]
+        free = upper > lower
         pts = np.atleast_2d(pts)
-        assert np.all(pts[:, ~free] == box.lower[~free])
-        assert np.all(pts[:, free] > box.lower[free])
-        assert np.all(pts[:, free] < box.upper[free])
+        assert pts.shape[1] == 3
+        assert np.all(pts[:, ~free] == lower[~free])
+        assert np.all(pts[:, free] > lower[free])
+        assert np.all(pts[:, free] < upper[free])
 
     def test_sobol_starts(self):
         self.assert_interior(_start_points(self.BOX, 16, seed=2))
 
+    def test_sobol_prefix_without_balance_warning(self):
+        box = ParamBox.default(M1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            six = _start_points(box, 6, seed=5)
+        np.testing.assert_array_equal(six, _start_points(box, 8, seed=5)[:6])
+
     def test_warm_start(self):
-        # a level far outside the alpha bounds forces the clip
-        y = 50.0 + gen_ar1(200, seed=3)
-        theta = _warm_start(TimeSeries(y), M1, self.BOX)
-        assert theta[0] == pytest.approx(self.BOX.upper[0] - 2e-3)
-        self.assert_interior(theta)
+        # an alternating series has a negative AR(1) slope, which maps
+        # past the gamma0 upper bound and forces the clip
+        y = (-1.0) ** np.arange(200) + 0.1 * gen_ar1(200, seed=3)
+        phi = _warm_start(TimeSeries(y), M1, self.BOX)
+        assert phi[0] == pytest.approx(self.BOX.upper[1] - 7e-4)
+        self.assert_interior(phi)
+
+
+class TestProfile:
+    """alpha and sigma at their closed-form box maximizers for fixed phi."""
+
+    TRUTH = m1_identified_truth()
+    Y = simulate(TRUTH, 500, seed=50)
+    PHI = TRUTH.to_array()[1:4]
+
+    def profile_ll(self, phi, box):
+        return loglik(_profile(phi, self.Y, M1, box), self.Y)
+
+    @staticmethod
+    def box_with(i, lower, upper):
+        box = ParamBox.default(M1)
+        lo, hi = box.lower.copy(), box.upper.copy()
+        lo[i], hi[i] = lower, upper
+        return ParamBox(lo, hi)
+
+    def test_beats_perturbations(self):
+        box = ParamBox.default(M1)
+        theta = _profile(self.PHI, self.Y, M1, box).to_array()
+        best = loglik(SdarParams.from_array(theta, M1), self.Y)
+        for i in (0, 4):
+            for step in (-1e-3, 1e-3):
+                other = theta.copy()
+                other[i] += step
+                assert best > loglik(SdarParams.from_array(other, M1), self.Y)
+
+    # the unconstrained maximizers sit near the truth's alpha -1.5 and sigma 1
+    @pytest.mark.parametrize(
+        "i, lower, upper, want",
+        [(0, -10.0, -2.0, -2.0), (4, 1e-4, 0.5, 0.5), (4, 2.0, 10.0, 2.0)],
+        ids=["alpha-upper", "sigma-upper", "sigma-lower"],
+    )
+    def test_binding_bound_is_returned(self, i, lower, upper, want):
+        box = self.box_with(i, lower, upper)
+        assert _profile(self.PHI, self.Y, M1, box).to_array()[i] == want
+
+    def test_pinned_alpha_and_sigma_exact(self):
+        box = ParamBox.default(M1).pin("alpha", -1.25).pin("sigma", 0.8)
+        res = fit(self.Y, M1, box=box, n_starts=2, seed=0)
+        assert res.theta_hat.alpha == -1.25
+        assert res.theta_hat.sigma == 0.8
+
+    @pytest.mark.parametrize("alpha_upper", [10.0, -2.0], ids=["interior", "clipped"])
+    def test_gradient_is_phi_block(self, alpha_upper):
+        box = self.box_with(0, -10.0, alpha_upper)
+        params = _profile(self.PHI, self.Y, M1, box)
+        assert (params.alpha == -2.0) == (alpha_upper == -2.0)
+        grad = loglik_grad(params, self.Y)[1:4]
+        fd = np.empty(3)
+        for j in range(3):
+            h = 1e-6 * max(1.0, abs(self.PHI[j]))
+            up, down = self.PHI.copy(), self.PHI.copy()
+            up[j] += h
+            down[j] -= h
+            fd[j] = (self.profile_ll(up, box) - self.profile_ll(down, box)) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-4)
 
 
 class TestAicSelect:
