@@ -4,9 +4,10 @@ The threshold variable is y_{t-1}; the low regime (y_{t-1} <= threshold)
 follows an AR(d1) and the high regime an AR(d2), each with its own
 intercept and noise scale. The threshold is chosen by grid search over
 the unique order statistics of y_{t-1} inside a trimmed quantile band,
-minimizing the pooled sum of squared residuals. The search is done with
-prefix-sum normal equations, so one pass over the sorted candidates
-costs a rank-one moment update per step rather than a fresh regression.
+minimizing the pooled sum of squared residuals. The search runs on
+prefix moments of the sorted design: each candidate's normal equations
+are a prefix (low regime) or totals minus a prefix (high regime), and
+one stacked solve per regime covers every candidate at once.
 """
 
 from __future__ import annotations
@@ -52,16 +53,6 @@ class SetarFit:
         return cls(**doc)
 
 
-def _design(y: np.ndarray, p: int):
-    """Regression rows (1, y_{t-1}, ..., y_{t-p}) for targets y_t, t = p..n-1."""
-    n = y.size
-    x = np.empty((n - p, p + 1))
-    x[:, 0] = 1.0
-    for i in range(1, p + 1):
-        x[:, i] = y[p - i : n - i]
-    return x
-
-
 def fit_setar(
     series: TimeSeries, d1: int, d2: int, trim: float = 0.15
 ) -> SetarFit:
@@ -83,10 +74,13 @@ def fit_setar(
     order = np.argsort(z, kind="stable")
     z_sorted = z[order]
     t_sorted = target[order]
-    x = _design(y, p)[order]
+    # Regression rows (1, y_{t-1}, ..., y_{t-p}), in threshold order.
+    lags = [y[p - i : y.size - i] for i in range(1, p + 1)]
+    x = np.column_stack([np.ones(rows)] + lags)[order]
 
-    # xtx[k], xty[k]: moments of the first k + 1 sorted rows. Each regime
-    # views its leading (d+1) block once; slicing per candidate costs ~5%.
+    # xtx[k], xty[k]: moments of the first k + 1 sorted rows, so the
+    # low regime of candidate k is prefix k - 1 and the high regime is
+    # the totals minus it. Each regime reads its leading (d+1) block.
     xtx = np.cumsum(x[:, :, None] * x[:, None, :], axis=0)
     xty = np.cumsum(x * t_sorted[:, None], axis=0)
     yty = np.cumsum(t_sorted**2)
@@ -97,39 +91,34 @@ def fit_setar(
     lo_q, hi_q = np.quantile(z, [trim, 1.0 - trim])
     # Candidate k: low regime = sorted rows 0..k-1. Use the last
     # occurrence of each distinct z value so duplicates collapse.
-    last_of_value = np.flatnonzero(np.diff(z_sorted) > 0) + 1
-    candidates = [
-        k
-        for k in last_of_value
-        if min_per_regime <= k <= rows - min_per_regime
-        and lo_q <= z_sorted[k - 1] <= hi_q
-    ]
-    if not candidates:
+    ks = np.flatnonzero(np.diff(z_sorted) > 0) + 1
+    z_k = z_sorted[ks - 1]
+    keep = (min_per_regime <= ks) & (ks <= rows - min_per_regime)
+    ks = ks[keep & (lo_q <= z_k) & (z_k <= hi_q)]
+    if ks.size == 0:
         raise ValueError(
             "no admissible threshold: every candidate leaves a regime too small"
         )
 
-    total_yty = yty[-1]
+    yty1 = yty[ks - 1]
+    b1, b2 = xty1[ks - 1], xty2[-1] - xty2[ks - 1]
+    beta1, ok1 = _solve_each(xtx1[ks - 1], b1)
+    beta2, ok2 = _solve_each(xtx2[-1] - xtx2[ks - 1], b2)
+    # Stacked (1, d+1) @ (d+1, 1) products sum like the scalar beta @ b.
+    ssr1 = yty1 - (b1[:, None, :] @ beta1[..., None])[:, 0, 0]
+    ssr2 = (yty[-1] - yty1) - (b2[:, None, :] @ beta2[..., None])[:, 0, 0]
+    ssr = (ssr1 + ssr2).tolist()
     best = None
-    for k in candidates:
-        a1, b1 = xtx1[k - 1], xty1[k - 1]
-        # High-regime moments from totals minus the low prefix.
-        a2 = xtx2[-1] - xtx2[k - 1]
-        b2 = xty2[-1] - xty2[k - 1]
-        try:
-            beta1 = np.linalg.solve(a1, b1)
-            beta2 = np.linalg.solve(a2, b2)
-        except np.linalg.LinAlgError:
-            continue
-        ssr1 = yty[k - 1] - beta1 @ b1
-        ssr2 = (total_yty - yty[k - 1]) - beta2 @ b2
-        ssr = ssr1 + ssr2
-        if best is None or ssr < best[0] - 1e-12 * abs(best[0]):
-            best = (ssr, k, beta1, beta2, ssr1, ssr2)
+    for i in np.flatnonzero(ok1 & ok2).tolist():
+        if best is None or ssr[i] < ssr[best] - 1e-12 * abs(ssr[best]):
+            best = i
     if best is None:
         raise ValueError("threshold search failed: all regressions singular")
 
-    _, k, beta1, beta2, ssr1, ssr2 = best
+    # Scalar dots for the winner: sigma is independent of stacked sums.
+    k, beta1, beta2 = int(ks[best]), beta1[best], beta2[best]
+    ssr1 = yty[k - 1] - beta1 @ b1[best]
+    ssr2 = (yty[-1] - yty[k - 1]) - beta2 @ b2[best]
     threshold = float(z_sorted[k - 1])
     n1, n2 = k, rows - k
     sigma1 = float(np.sqrt(max(ssr1, 0.0) / n1))
@@ -151,6 +140,23 @@ def fit_setar(
         n_obs=rows,
         loglik=ll,
     )
+
+
+def _solve_each(a, b):
+    """Solutions beta[i] of a[i] beta[i] = b[i]; ok[i] is False where a[i]
+    is exactly singular. The stacked solve raises if any a[i] is; only
+    then is each system solved on its own."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(b), bool)
+    except np.linalg.LinAlgError:
+        pass
+    beta, ok = np.zeros_like(b), np.ones(len(b), bool)
+    for i in range(len(b)):
+        try:
+            beta[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return beta, ok
 
 
 def _gaussian_loglik(n: int, sigma: float) -> float:
@@ -196,8 +202,12 @@ def mc_forecast_setar(
     history = np.asarray(history, dtype=float)
     if history.size < p:
         raise ValueError(f"history must contain at least {p} values")
-    if fit.sigma1 < 0 or fit.sigma2 < 0:
-        raise ValueError("invalid fit: negative noise scale")
+    coefs = np.r_[fit.threshold, fit.c1, fit.c2, fit.phi1, fit.phi2]
+    if not np.isfinite(coefs).all():
+        raise ValueError("invalid fit: non-finite threshold or coefficient")
+    for scale in (fit.sigma1, fit.sigma2):
+        if not (scale >= 0.0 and np.isfinite(scale)):
+            raise ValueError(f"invalid fit: noise scale {scale} is not >= 0")
 
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((M, H))

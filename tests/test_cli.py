@@ -209,6 +209,23 @@ class TestForecast:
         assert rc == 0
         assert len(read_csv(out / "forecast.csv")) - 1 == 3
 
+    def test_non_finite_setar_fit_exit_1(self, tmp_path, capsys):
+        y = gen_setar(600, seed=4)
+        path = write_returns(tmp_path, y)
+        fit_dir = tmp_path / "sf"
+        main(["fit-setar", "--input", str(path), "--max-lag", "2",
+              "--out", str(fit_dir)])
+        fit_path = fit_dir / "setar_fit.json"
+        doc = json.loads(fit_path.read_text())
+        doc["threshold"] = doc["sigma1"] = float("nan")
+        fit_path.write_text(json.dumps(doc))  # writes the token NaN
+        out = tmp_path / "sfc"
+        rc = main(["forecast", "--input", str(path), "--fit", str(fit_path),
+                   "--horizon", "3", "--mc", "200", "--out", str(out)])
+        assert rc == 1
+        assert "error: invalid fit" in capsys.readouterr().err
+        assert not (out / "forecast.csv").exists()
+
     def test_same_seed_reproduces(self, sdar_csv, tmp_path):
         fit_dir = tmp_path / "f2"
         main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M1",

@@ -35,6 +35,11 @@ def brute_force_setar(y, d1, d2, trim=0.15):
         n1 = int(low.sum())
         if n1 < min_n or target.size - n1 < min_n:
             continue
+        # a regime design without full column rank has no unique fit,
+        # so the candidate is skipped
+        if (np.linalg.matrix_rank(x1[low]) <= d1
+                or np.linalg.matrix_rank(x2[~low]) <= d2):
+            continue
         b1, *_ = np.linalg.lstsq(x1[low], target[low], rcond=None)
         b2, *_ = np.linalg.lstsq(x2[~low], target[~low], rcond=None)
         ssr = np.sum((target[low] - x1[low] @ b1) ** 2) + np.sum(
@@ -46,18 +51,43 @@ def brute_force_setar(y, d1, d2, trim=0.15):
 
 
 class TestFitSetar:
+    @staticmethod
+    def assert_matches_brute_force(y, d1=2, d2=2):
+        fit = fit_setar(TimeSeries(y), d1, d2)
+        ssr, thr, b1, b2 = brute_force_setar(y, d1, d2)
+        assert fit.threshold == pytest.approx(thr)
+        np.testing.assert_allclose(
+            np.r_[fit.c1, fit.phi1], b1, rtol=1e-8, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            np.r_[fit.c2, fit.phi2], b2, rtol=1e-8, atol=1e-10
+        )
+        return fit
+
     def test_matches_brute_force(self, rng):
         for trial in range(5):
             y = rng.standard_normal(300).cumsum() * 0.3
-            fit = fit_setar(TimeSeries(y), 2, 2)
-            ssr, thr, b1, b2 = brute_force_setar(y, 2, 2)
-            assert fit.threshold == pytest.approx(thr)
-            np.testing.assert_allclose(
-                np.r_[fit.c1, fit.phi1], b1, rtol=1e-8, atol=1e-10
-            )
-            np.testing.assert_allclose(
-                np.r_[fit.c2, fit.phi2], b2, rtol=1e-8, atol=1e-10
-            )
+            self.assert_matches_brute_force(y)
+
+    @pytest.mark.parametrize("decimals", [1, 0])
+    def test_ties_collapse_to_last_occurrence(self, rng, decimals):
+        # rounding makes y_{t-1} repeat: a candidate threshold must take
+        # the last occurrence of each distinct value, so ties never split
+        for trial in range(5):
+            y = np.round(rng.standard_normal(300).cumsum() * 0.3, decimals)
+            assert np.unique(y).size < y.size
+            self.assert_matches_brute_force(y)
+
+    def test_singular_candidate_is_skipped(self):
+        # -1.0 fills 30% of the sample, more than the 15% trim, so the
+        # first admissible candidate's low regime has the single
+        # regressor row (1, -1): its normal equations are exactly
+        # singular, and the search must skip it rather than raise
+        rng = np.random.default_rng(5)
+        y = np.abs(rng.standard_normal(400)) + 0.5
+        y[rng.random(400) < 0.3] = -1.0
+        fit = self.assert_matches_brute_force(y, 1, 1)
+        assert fit.threshold == 1.2165876558738362
 
     @pytest.mark.parametrize("d1, d2", [(1, 3), (3, 1), (4, 2)])
     def test_asymmetric_lags(self, rng, d1, d2):
@@ -189,6 +219,22 @@ class TestMcForecastSetar:
         fit, y = self.fit_once()
         with pytest.raises(ValueError, match="history"):
             mc_forecast_setar(fit, y[:2], H=3, M=10)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("threshold", np.nan), ("c1", np.inf), ("c2", np.nan),
+         ("phi1", np.array([0.5, np.nan, 0.1])),
+         ("phi2", np.array([np.inf, 0.2, 0.1])),
+         ("sigma1", np.nan), ("sigma2", np.inf), ("sigma1", -0.1)],
+        ids=["threshold-nan", "c1-inf", "c2-nan", "phi1-nan", "phi2-inf",
+             "sigma1-nan", "sigma2-inf", "sigma1-negative"],
+    )
+    def test_invalid_fit_rejected(self, field, value):
+        from dataclasses import replace
+
+        fit, y = self.fit_once()
+        with pytest.raises(ValueError, match="invalid fit"):
+            mc_forecast_setar(replace(fit, **{field: value}), y, H=3, M=10)
 
     def test_bad_horizon_rejected(self):
         fit, y = self.fit_once()
