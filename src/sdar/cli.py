@@ -228,11 +228,15 @@ def cmd_fit_setar(args) -> int:
 
 
 def _load_fit(path: str):
+    """The SDAR or SETAR fit saved in ``path``; a malformed one is an input error."""
     text = Path(path).read_text(encoding="utf-8")
-    doc = json.loads(text)
-    if "theta_hat" in doc:
-        return FitResult.from_json(text)
-    return SetarFit.from_json(text)
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
+        return (FitResult if "theta_hat" in doc else SetarFit).from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"{path}: invalid fit JSON ({type(exc).__name__}: {exc})") from None
 
 
 def _forecast_csv(fc) -> str:

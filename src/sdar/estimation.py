@@ -5,10 +5,11 @@ likelihood over phi = (gamma0, gamma1, r), multi-started from a
 deterministic Sobol design over the box. For fixed phi the likelihood is
 a concave quadratic in alpha and unimodal in sigma, so their box-
 constrained maximizers are clipped closed forms, and by Danskin's theorem
-the profile gradient is the phi block of the full gradient. Standard errors are
-the sandwich form (1/n) * Hbar^{-1} G Hbar^{-1} with Hbar the empirical
-mean Hessian and G the empirical mean outer product of per-observation
-scores, both evaluated at the estimate.
+the profile gradient is the phi block of the full gradient. One kernel
+returns the profile value and gradient, computing psi once per optimizer
+step and ln(y^2) once per fit. Standard errors are the sandwich form
+(1/n) Hbar^{-1} G Hbar^{-1}, Hbar the empirical mean Hessian and G the
+mean outer product of per-observation scores, both at the estimate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import model as sdar_model
 from .model import PARAM_NAMES, SdarParams
-from .persistence import PersistenceKind
+from .persistence import PersistenceKind, PersistenceParams, _grad_stack, _log_y2, _parts
 from .series import TimeSeries
 
 _GTOL_REL = 1e-6
@@ -93,7 +94,7 @@ class FitResult:
     at_boundary: np.ndarray | None = None
 
     def to_json(self) -> str:
-        th = self.theta_hat
+        th, se, cov = self.theta_hat, self.std_errors, self.covariance
         doc = {
             "theta_hat": {
                 "alpha": th.alpha,
@@ -103,12 +104,8 @@ class FitResult:
                 "sigma": th.sigma,
             },
             "kind": th.kind.value,
-            "std_errors": None
-            if self.std_errors is None
-            else [float(v) for v in self.std_errors],
-            "covariance": None
-            if self.covariance is None
-            else [float(v) for v in self.covariance.ravel()],
+            "std_errors": None if se is None else [float(v) for v in se],
+            "covariance": None if cov is None else [float(v) for v in cov.ravel()],
             "loglik": self.loglik,
             "aic": self.aic,
             "n_obs": self.n_obs,
@@ -126,13 +123,11 @@ class FitResult:
             [th["alpha"], th["gamma0"], th["gamma1"], th["r"], th["sigma"]],
             PersistenceKind(doc["kind"]),
         )
-        cov = doc["covariance"]
+        cov, se = doc["covariance"], doc["std_errors"]
         return cls(
             theta_hat=theta,
             covariance=None if cov is None else np.array(cov).reshape(5, 5),
-            std_errors=None
-            if doc["std_errors"] is None
-            else np.array(doc["std_errors"]),
+            std_errors=None if se is None else np.array(se),
             loglik=doc["loglik"],
             aic=doc["aic"],
             n_obs=doc["n_obs"],
@@ -255,6 +250,33 @@ def _profile(phi, series: TimeSeries, kind: PersistenceKind, box: ParamBox) -> S
     return SdarParams.from_array(theta, kind)
 
 
+class _ProfileKernel:
+    """Negated profile log-likelihood and phi gradient, with psi computed once per call.
+
+    Built once per fit, it holds the lags, the targets and ln(y^2) of the
+    lags. A call evaluates the expressions of ``loglik`` and ``loglik_grad``
+    at ``_profile(phi)`` in their order, so it matches them bit for bit.
+    """
+
+    def __init__(self, series: TimeSeries, kind: PersistenceKind, box: ParamBox):
+        self.lag, self.target = series.values[:-1], series.values[1:]
+        self.log_y2, self.kind, self.box = _log_y2(self.lag), kind, box
+
+    def __call__(self, phi):
+        kind, lo, hi, lag, target = self.kind, self.box.lower, self.box.upper, self.lag, self.target
+        pf = PersistenceParams(*(float(v) for v in phi))
+        pf.validate(kind)  # before psi, as in _profile
+        w, ps = _parts(kind, lag, pf)
+        u = target - ps * lag
+        alpha = np.clip(np.mean(u), lo[0], hi[0])
+        sigma = np.clip(np.sqrt(np.mean((u - alpha) ** 2)), lo[4], hi[4])
+        params = SdarParams(float(alpha), pf, float(sigma), kind)
+        xi = target - params.alpha - ps * lag
+        s = params.sigma
+        grad = _grad_stack(kind, w, ps, self.log_y2, pf.gamma1) @ (xi * lag) / (s * s)
+        return -sdar_model._gaussian_loglik(xi, s), -grad
+
+
 def fit(
     series: TimeSeries,
     kind: PersistenceKind,
@@ -274,20 +296,19 @@ def fit(
         raise ValueError("series too short: need at least 20 observations")
     if np.std(series.values) == 0.0:
         raise ValueError("degenerate series: zero variance")
+    if n_starts < 0:
+        raise ValueError(f"n_starts must be >= 0, got {n_starts}")
     if box is None:
         box = ParamBox.default(kind)
 
-    def neg_profile_and_grad(phi):
-        params = _profile(phi, series, kind, box)
-        return -sdar_model.loglik(params, series), -sdar_model.loglik_grad(params, series)[_PHI]
-
+    objective = _ProfileKernel(series, kind, box)
     starts = np.vstack(
         [_warm_start(series, kind, box), _start_points(box, n_starts, seed)]
     )
     best_f, best_phi = np.inf, None
     for phi0 in starts:
         res = minimize(
-            neg_profile_and_grad,
+            objective,
             phi0,
             jac=True,
             method="L-BFGS-B",
@@ -296,8 +317,7 @@ def fit(
             options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-10},
         )
         if res.fun < best_f:
-            best_f = res.fun
-            best_phi = res.x
+            best_f, best_phi = res.fun, res.x
 
     params = _profile(best_phi, series, kind, box)
     theta = params.to_array()
@@ -309,8 +329,7 @@ def fit(
 
     try:
         _, cov = sandwich_cov(params, series)
-        diag = np.diag(cov)
-        std_errors = np.sqrt(np.maximum(diag, 0.0))
+        std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         cov = None
         std_errors = None

@@ -97,6 +97,8 @@ def mc_forecast_sdar(
     params: SdarParams = getattr(fit, "theta_hat", fit)
     if H < 1 or M < 1:
         raise ValueError("H and M must be >= 1")
+    if not np.isfinite(y_n):
+        raise ValueError(f"y_n must be finite, got {y_n}")
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((M, H)) * params.sigma
     paths = np.empty((M, H))

@@ -42,6 +42,8 @@ class SdarParams:
     kind: PersistenceKind
 
     def __post_init__(self):
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         self.pf.validate(self.kind)
@@ -103,9 +105,12 @@ def residuals(params: SdarParams, series: TimeSeries) -> np.ndarray:
 
 def loglik(params: SdarParams, series: TimeSeries) -> float:
     """Total Gaussian quasi-log-likelihood (constant included)."""
-    xi = residuals(params, series)
+    return _gaussian_loglik(residuals(params, series), params.sigma)
+
+
+def _gaussian_loglik(xi, s):
+    """Log-likelihood of innovations ``xi`` under N(0, s^2), constant included."""
     n = xi.size
-    s = params.sigma
     return float(
         -0.5 * n * math.log(2.0 * math.pi)
         - n * math.log(s)

@@ -102,10 +102,7 @@ def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
     nz = ay > 0
     dw[nz] = 2.0 * p.r * np.sign(y[nz]) * ay[nz] ** (2.0 * p.r - 1.0)
     _, ps = _parts(kind, y, p)
-    if kind is PersistenceKind.M1:
-        out = -p.gamma1 * dw * ps
-    else:
-        out = -p.gamma1 * dw * ps**2
+    out = -p.gamma1 * dw * (ps if kind is PersistenceKind.M1 else ps**2)
     return float(out[0]) if scalar else out
 
 
@@ -113,12 +110,13 @@ def _grad_components(kind, y, p):
     """Stacked (d/dgamma0, d/dgamma1, d/dr) of psi, vectorized in y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     w, ps = _parts(kind, y, p)
-    lg = _log_y2(y)
-    if kind is PersistenceKind.M1:
-        base = ps
-    else:
-        base = ps**2
-    return np.stack([-base, -w * base, -p.gamma1 * w * lg * base])
+    return _grad_stack(kind, w, ps, _log_y2(y), p.gamma1)
+
+
+def _grad_stack(kind, w, ps, lg, gamma1):
+    """The psi gradient stack from w = |y|^(2r), psi(y) and lg = ln(y^2)."""
+    base = ps if kind is PersistenceKind.M1 else ps**2
+    return np.stack([-base, -w * base, -gamma1 * w * lg * base])
 
 
 def psi_grad(kind: PersistenceKind, y, p: PersistenceParams):
@@ -219,8 +217,7 @@ def a1_bound_numeric(
     grid_points: int = 100_000,
 ) -> float:
     """Grid maximum of |psi| + |y psi'| on a symmetric log-dense grid."""
-    loc, val = _a1_grid_max(kind, p, grid_points)
-    return val
+    return _a1_grid_max(kind, p, grid_points)[1]
 
 
 def _a1_grid_max(kind, p, grid_points=100_000):
@@ -246,10 +243,7 @@ def check_assumptions(kind: PersistenceKind, p: PersistenceParams) -> Assumption
     p.validate(kind)
     closed = a1_bound_closed_form(kind, p)
     loc, numeric = _a1_grid_max(kind, p)
-    if kind is PersistenceKind.M1:
-        a2 = p.gamma1 > 0.0
-    else:
-        a2 = p.gamma1 > 0.0 and p.r >= 0.5
+    a2 = p.gamma1 > 0.0 and (kind is PersistenceKind.M1 or p.r >= 0.5)
     return AssumptionReport(
         sup_bound_closed_form=closed,
         sup_bound_numeric=numeric,

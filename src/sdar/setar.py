@@ -48,8 +48,8 @@ class SetarFit:
     @classmethod
     def from_json(cls, text: str) -> "SetarFit":
         doc = json.loads(text)
-        doc["phi1"] = np.array(doc["phi1"])
-        doc["phi2"] = np.array(doc["phi2"])
+        doc["phi1"] = np.array(doc["phi1"], dtype=float)
+        doc["phi2"] = np.array(doc["phi2"], dtype=float)
         return cls(**doc)
 
 

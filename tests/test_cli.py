@@ -136,6 +136,15 @@ class TestFitSdar:
         assert not out.exists()
 
 
+    def test_negative_n_starts_exit_1(self, sdar_csv, tmp_path, capsys):
+        out = tmp_path / "fitg"
+        rc = main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M1",
+                   "--n-starts", "-3", "--out", str(out)])
+        assert rc == 1
+        assert "error: n_starts must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFitSetar:
     def test_config_cannot_switch_command(self, tmp_path, capsys):
         y = gen_setar(600, seed=3)
@@ -226,6 +235,33 @@ class TestForecast:
         assert "error: invalid fit" in capsys.readouterr().err
         assert not (out / "forecast.csv").exists()
 
+    def test_non_finite_alpha_fit_exit_1(self, sdar_csv, tmp_path, capsys):
+        fit_dir = tmp_path / "f"
+        main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M1",
+              "--out", str(fit_dir), "--n-starts", "2"])
+        fit_path = fit_dir / "fit_M1.json"
+        doc = json.loads(fit_path.read_text())
+        doc["theta_hat"]["alpha"] = float("nan")
+        fit_path.write_text(json.dumps(doc))  # writes the token NaN
+        out = tmp_path / "fc"
+        rc = main(["forecast", "--input", str(sdar_csv), "--fit", str(fit_path),
+                   "--horizon", "3", "--mc", "200", "--out", str(out)])
+        assert rc == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+        assert not (out / "forecast.csv").exists()
+
+    @pytest.mark.parametrize("doc", [{"foo": 1}, [1, 2], {"theta_hat": {"alpha": "high"}}],
+                             ids=["missing-key", "not-an-object", "mistyped-key"])
+    def test_malformed_fit_json_exit_1(self, sdar_csv, tmp_path, capsys, doc):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(doc))
+        out = tmp_path / "fc"
+        rc = main(["forecast", "--input", str(sdar_csv), "--fit", str(fit_path),
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"error: {fit_path}: invalid fit JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_reproduces(self, sdar_csv, tmp_path):
         fit_dir = tmp_path / "f2"
         main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M1",
@@ -273,6 +309,17 @@ class TestCompare:
         assert rc == 1
 
 
+    def test_negative_n_starts_exit_1(self, tmp_path, capsys):
+        y = simulate(m1_truth(), 450, seed=91).values
+        path = write_returns(tmp_path, y)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", str(path), "--n-train", "430",
+                   "--n-starts", "-1", "--out", str(out)])
+        assert rc == 1
+        assert "error: n_starts must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCheck:
     def test_satisfied_params_exit_0(self, capsys):
         rc = main(["check", "--kind", "M1", "--gamma0", "0.3734",
@@ -304,3 +351,10 @@ class TestCheck:
         rc = main(["check", "--kind", "M1", "--gamma0", "0.5"])
         assert rc == 1
         assert "gamma1" in capsys.readouterr().err
+
+    def test_fit_json_not_an_object_exit_1(self, tmp_path, capsys):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text("[1, 2]")
+        rc = main(["check", "--fit", str(fit_path)])
+        assert rc == 1
+        assert f"error: {fit_path}: invalid fit JSON" in capsys.readouterr().err

@@ -20,7 +20,8 @@ from sdar import (
     simulate,
 )
 
-from sdar.estimation import _profile, _start_points, _warm_start
+from sdar import estimation
+from sdar.estimation import _ProfileKernel, _profile, _start_points, _warm_start
 
 from conftest import gen_ar1, m1_identified_truth, m1_truth
 
@@ -142,6 +143,94 @@ class TestProfile:
             down[j] -= h
             fd[j] = (self.profile_ll(up, box) - self.profile_ll(down, box)) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-4)
+
+
+def reference_objective(series, kind, box):
+    """The profile objective composed from `_profile`, `loglik` and `loglik_grad`."""
+
+    def neg_profile_and_grad(phi):
+        params = _profile(phi, series, kind, box)
+        return -loglik(params, series), -loglik_grad(params, series)[1:4]
+
+    return neg_profile_and_grad
+
+
+class TestProfileKernel:
+    """The fused kernel returns the reference objective's numbers bit for bit,
+    so L-BFGS-B takes the same path and a fit keeps its bytes."""
+
+    M2_TRUTH = SdarParams(-1.5, PersistenceParams(1.5, 0.1, 0.5), 0.5, M2)
+    PHI = m1_identified_truth().to_array()[1:4]
+
+    @staticmethod
+    def assert_identical(series, kind, box, phis):
+        kernel = _ProfileKernel(series, kind, box)
+        reference = reference_objective(series, kind, box)
+        for phi in phis:
+            value, grad = kernel(phi)
+            ref_value, ref_grad = reference(phi)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+
+    @staticmethod
+    def random_phis(box, count, seed):
+        lo, hi = box.lower[1:4], box.upper[1:4]
+        return lo + np.random.default_rng(seed).random((count, 3)) * (hi - lo)
+
+    @pytest.mark.parametrize("kind", [M1, M2])
+    @pytest.mark.parametrize("truth", ["M1", "M2"])
+    def test_random_phi(self, kind, truth):
+        params = m1_truth() if truth == "M1" else self.M2_TRUTH
+        y = simulate(params, 2000, seed=60)
+        box = ParamBox.default(kind)
+        self.assert_identical(y, kind, box, self.random_phis(box, 100, seed=61))
+
+    @pytest.mark.parametrize("kind", [M1, M2])
+    def test_box_edges(self, kind):
+        y = simulate(m1_identified_truth(), 500, seed=50)
+        box = ParamBox.default(kind)
+        lo, hi = box.lower[1:4], box.upper[1:4]
+        edges = [np.array([g0, g1, r]) for g0 in (lo[0], hi[0])
+                 for g1 in (lo[1], hi[1]) for r in (lo[2], hi[2])]
+        self.assert_identical(y, kind, box, edges)
+
+    @pytest.mark.parametrize(
+        "i, lower, upper",
+        [(0, -10.0, -2.0), (4, 1e-4, 0.5), (4, 2.0, 10.0)],
+        ids=["alpha-upper", "sigma-upper", "sigma-lower"],
+    )
+    def test_clipped_alpha_and_sigma(self, i, lower, upper):
+        y = simulate(m1_identified_truth(), 500, seed=50)
+        box = TestProfile.box_with(i, lower, upper)
+        assert _profile(self.PHI, y, M1, box).to_array()[i] in (lower, upper)
+        self.assert_identical(y, M1, box, [self.PHI, *self.random_phis(box, 20, seed=62)])
+
+    def test_pinned_gamma1_and_r(self):
+        # criterion 4's path: only gamma0 moves
+        box = ParamBox.default(M1).pin("gamma1", 0.0).pin("r", 0.5)
+        y = TimeSeries(gen_ar1(400, seed=3))
+        self.assert_identical(y, M1, box, self.random_phis(box, 20, seed=63))
+
+    @pytest.mark.parametrize("kind", [M1, M2])
+    def test_series_with_exact_zero(self, kind):
+        y = simulate(m1_truth(), 500, seed=64).values.copy()
+        y[[0, 17, 250]] = 0.0
+        box = ParamBox.default(kind)
+        self.assert_identical(TimeSeries(y), kind, box, self.random_phis(box, 30, seed=65))
+
+    @pytest.mark.parametrize("kind", [M1, M2])
+    def test_fit_matches_reference_objective(self, kind, monkeypatch):
+        y = simulate(m1_truth(), 400, seed=77)
+        fused = fit(y, kind, n_starts=4, seed=1).to_json()
+        built = []
+
+        def reference(*args):
+            built.append(args)
+            return reference_objective(*args)
+
+        monkeypatch.setattr(estimation, "_ProfileKernel", reference)
+        assert fit(y, kind, n_starts=4, seed=1).to_json() == fused
+        assert len(built) == 1
 
 
 class TestAicSelect:
@@ -287,6 +376,25 @@ class TestFitBehaviour:
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             fit(TimeSeries(np.ones(50)), M1)
+
+    @pytest.mark.parametrize("n_starts", [-1, -3])
+    def test_negative_n_starts_rejected(self, n_starts):
+        y = simulate(m1_truth(), 300, seed=15)
+        with pytest.raises(ValueError, match="n_starts"):
+            fit(y, M1, n_starts=n_starts)
+
+    def test_zero_n_starts_runs_the_warm_start_only(self, monkeypatch):
+        real, runs = estimation.minimize, []
+
+        def counted(*args, **kwargs):
+            runs.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", counted)
+        y = simulate(m1_truth(), 300, seed=15)
+        res = fit(y, M1, n_starts=0)
+        assert res.n_starts == 0
+        np.testing.assert_array_equal(runs, [_warm_start(y, M1, ParamBox.default(M1))])
 
     def test_json_roundtrip(self):
         y = simulate(m1_truth(), 300, seed=17)

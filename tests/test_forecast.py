@@ -96,6 +96,11 @@ class TestMcForecastSdar:
         with pytest.raises(ValueError):
             mc_forecast_sdar(m1_truth(), 0.0, H=3, M=0)
 
+    @pytest.mark.parametrize("y_n", [np.nan, np.inf])
+    def test_non_finite_origin_rejected(self, y_n):
+        with pytest.raises(ValueError, match="y_n"):
+            mc_forecast_sdar(m1_truth(), y_n, H=3, M=10)
+
 
 class TestEmpiricalQuantiles:
     @pytest.mark.parametrize("probs", [

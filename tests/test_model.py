@@ -50,6 +50,11 @@ class TestSdarParams:
         with pytest.raises(ValueError):
             SdarParams(0.0, PersistenceParams(0.4, 0.1, 0.5), 0.0, M1)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            SdarParams(alpha, PersistenceParams(0.4, 0.1, 0.5), 1.0, M1)
+
     def test_rejects_invalid_persistence(self):
         with pytest.raises(ValueError):
             SdarParams(0.0, PersistenceParams(0.5, 0.1, 0.5), 1.0, M2)
