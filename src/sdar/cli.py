@@ -1,9 +1,10 @@
 """Command-line surface for reproducible SDAR runs.
 
 Subcommands: ingest, fit-sdar, fit-setar, forecast, compare, check.
-Every run writes its outputs plus a run-manifest JSON (config echo,
-seed, package version) into the output directory, and is a pure
-function of its input files, flags and seed.
+Every command but check writes its outputs plus a run-manifest JSON
+(config echo, seed, package version) into the output directory; check
+only prints. Each run is a pure function of its input files, flags and
+seed.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence,
 3 assumption failure (check only).
@@ -151,17 +152,16 @@ def _load_series(args) -> TimeSeries:
     return load_returns(args.input, col)
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-def _manifest(args, out_dir: Path) -> None:
+def _write(args, artifacts: dict[str, str]) -> Path:
+    """Write each ``{name: text}`` artifact, then run_manifest.json, into --out."""
     echo = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     doc = {"command": args.command, "config": echo, "version": __version__}
-    _write(out_dir, "run_manifest.json", json.dumps(doc, indent=2, default=str))
+    artifacts = {**artifacts, "run_manifest.json": json.dumps(doc, indent=2, default=str)}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return out_dir
 
 
 def _series_csv(values, label: str) -> str:
@@ -170,12 +170,10 @@ def _series_csv(values, label: str) -> str:
 
 
 def cmd_ingest(args) -> int:
-    out_dir = Path(args.out)
     vol = realized_volatility(_load_series(args), args.week_len)
     logvol = log_transform(vol)
-    _write(out_dir, "volatility.csv", _series_csv(vol.values, "volatility"))
-    _write(out_dir, "log_volatility.csv", _series_csv(logvol.values, "log_volatility"))
-    _manifest(args, out_dir)
+    out_dir = _write(args, {"volatility.csv": _series_csv(vol.values, "volatility"),
+                            "log_volatility.csv": _series_csv(logvol.values, "log_volatility")})
     print(f"wrote {len(vol)} weekly volatility values to {out_dir}")
     return EXIT_OK
 
@@ -195,21 +193,17 @@ def _fit_kinds(args, series: TimeSeries):
 
 
 def cmd_fit_sdar(args) -> int:
-    out_dir = Path(args.out)
     series = _train_series(args)
     kinds, fits, best = _fit_kinds(args, series)
-    for kind, result in zip(kinds, fits):
-        _write(out_dir, f"fit_{kind.value}.json", result.to_json())
+    artifacts = {f"fit_{k.value}.json": f.to_json() for k, f in zip(kinds, fits)}
     rc = EXIT_OK if all(f.converged for f in fits) else EXIT_NO_CONVERGENCE
     if len(fits) > 1:
-        verdict = {
-            "selected": kinds[best].value,
-            "aic": {k.value: f.aic for k, f in zip(kinds, fits)},
-        }
-        _write(out_dir, "selection.json", json.dumps(verdict, indent=2))
+        verdict = {"selected": kinds[best].value,
+                   "aic": {k.value: f.aic for k, f in zip(kinds, fits)}}
+        artifacts["selection.json"] = json.dumps(verdict, indent=2)
     ps = persistence_series(fits[best].theta_hat, series)
-    _write(out_dir, "persistence_series.csv", _series_csv(ps, "persistence"))
-    _manifest(args, out_dir)
+    artifacts["persistence_series.csv"] = _series_csv(ps, "persistence")
+    _write(args, artifacts)
     for kind, f in zip(kinds, fits):
         print(f"{kind.value}: loglik={f.loglik:.4f} aic={f.aic:.4f} "
               f"converged={f.converged}")
@@ -217,11 +211,9 @@ def cmd_fit_sdar(args) -> int:
 
 
 def cmd_fit_setar(args) -> int:
-    out_dir = Path(args.out)
     series = _train_series(args)
     result = select_setar(series, max_lag=args.max_lag, trim=args.trim)
-    _write(out_dir, "setar_fit.json", result.to_json())
-    _manifest(args, out_dir)
+    _write(args, {"setar_fit.json": result.to_json()})
     print(f"SETAR(2,{result.d1},{result.d2}): aic={result.aic:.4f} "
           f"threshold={result.threshold:.4f}")
     return EXIT_OK
@@ -251,7 +243,6 @@ def _forecast_csv(fc) -> str:
 
 
 def cmd_forecast(args) -> int:
-    out_dir = Path(args.out)
     series = _load_series(args)
     loaded = _load_fit(args.fit)
     if isinstance(loaded, FitResult):
@@ -260,14 +251,12 @@ def cmd_forecast(args) -> int:
     else:
         fc = mc_forecast_setar(loaded, series.values, args.horizon,
                                args.mc, args.seed)
-    _write(out_dir, "forecast.csv", _forecast_csv(fc))
-    _manifest(args, out_dir)
+    out_dir = _write(args, {"forecast.csv": _forecast_csv(fc)})
     print(f"wrote {args.horizon}-step forecast to {out_dir}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    out_dir = Path(args.out)
     series = _load_series(args)
     train, test = split(series, args.n_train)
     if args.horizon > len(test):
@@ -293,12 +282,11 @@ def cmd_compare(args) -> int:
     setar_acc = rolling_evaluate(setar_forecaster, train, test, args.horizon,
                                  args.mc, args.seed, args.mode)
     re = relative_efficiency(sdar_acc, setar_acc)
-    _write(out_dir, "re_table.csv", relative_efficiency_csv(re))
-    _write(out_dir, "sdar_accuracy.csv", sdar_acc.to_csv())
-    _write(out_dir, "setar_accuracy.csv", setar_acc.to_csv())
-    _write(out_dir, "fit_sdar.json", sdar_fit.to_json())
-    _write(out_dir, "fit_setar.json", setar_fit.to_json())
-    _manifest(args, out_dir)
+    _write(args, {"re_table.csv": relative_efficiency_csv(re),
+                  "sdar_accuracy.csv": sdar_acc.to_csv(),
+                  "setar_accuracy.csv": setar_acc.to_csv(),
+                  "fit_sdar.json": sdar_fit.to_json(),
+                  "fit_setar.json": setar_fit.to_json()})
     print(f"SDAR({sdar_fit.theta_hat.kind.value}) vs "
           f"SETAR(2,{setar_fit.d1},{setar_fit.d2}): "
           f"median RE(mafe)={np.nanmedian(re[0]):.4f}")
@@ -348,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
-    except (IngestError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # IngestError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,10 +6,11 @@ deterministic Sobol design over the box. For fixed phi the likelihood is
 a concave quadratic in alpha and unimodal in sigma, so their box-
 constrained maximizers are clipped closed forms, and by Danskin's theorem
 the profile gradient is the phi block of the full gradient. One kernel
-returns the profile value and gradient, computing psi once per optimizer
-step and ln(y^2) once per fit. Standard errors are the sandwich form
-(1/n) Hbar^{-1} G Hbar^{-1}, Hbar the empirical mean Hessian and G the
-mean outer product of per-observation scores, both at the estimate.
+gives the profile, its value and its gradient, to the optimizer and to
+the final check, computing psi once per point and ln(y^2) once per fit.
+Standard errors are the sandwich form (1/n) Hbar^{-1} G Hbar^{-1}, Hbar
+the empirical mean Hessian and G the mean outer product of
+per-observation scores, both at the estimate.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ _GTOL_REL = 1e-6
 _BOUNDARY_REL = 1e-6
 _COND_LIMIT = 1e12
 _PHI = slice(1, 4)  # (gamma0, gamma1, r) within theta
+_JSON_SCALARS = ("loglik", "aic", "n_obs", "converged", "n_starts", "grad_norm")
 
 
 @dataclass(frozen=True)
@@ -94,46 +96,28 @@ class FitResult:
     at_boundary: np.ndarray | None = None
 
     def to_json(self) -> str:
-        th, se, cov = self.theta_hat, self.std_errors, self.covariance
+        se, cov = self.std_errors, self.covariance
         doc = {
-            "theta_hat": {
-                "alpha": th.alpha,
-                "gamma0": th.pf.gamma0,
-                "gamma1": th.pf.gamma1,
-                "r": th.pf.r,
-                "sigma": th.sigma,
-            },
-            "kind": th.kind.value,
+            "theta_hat": dict(zip(PARAM_NAMES, self.theta_hat.to_array().tolist())),
+            "kind": self.theta_hat.kind.value,
             "std_errors": None if se is None else [float(v) for v in se],
             "covariance": None if cov is None else [float(v) for v in cov.ravel()],
-            "loglik": self.loglik,
-            "aic": self.aic,
-            "n_obs": self.n_obs,
-            "converged": self.converged,
-            "n_starts": self.n_starts,
-            "grad_norm": self.grad_norm,
+            **{name: getattr(self, name) for name in _JSON_SCALARS},
         }
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "FitResult":
         doc = json.loads(text)
-        th = doc["theta_hat"]
         theta = SdarParams.from_array(
-            [th["alpha"], th["gamma0"], th["gamma1"], th["r"], th["sigma"]],
-            PersistenceKind(doc["kind"]),
+            [doc["theta_hat"][name] for name in PARAM_NAMES], PersistenceKind(doc["kind"])
         )
         cov, se = doc["covariance"], doc["std_errors"]
         return cls(
             theta_hat=theta,
             covariance=None if cov is None else np.array(cov).reshape(5, 5),
             std_errors=None if se is None else np.array(se),
-            loglik=doc["loglik"],
-            aic=doc["aic"],
-            n_obs=doc["n_obs"],
-            converged=doc["converged"],
-            n_starts=doc["n_starts"],
-            grad_norm=doc["grad_norm"],
+            **{name: doc[name] for name in _JSON_SCALARS},
         )
 
 
@@ -146,8 +130,7 @@ def select_model(fits: list[FitResult]) -> int:
     """Index of the fit with minimum AIC; ties go to the first."""
     if not fits:
         raise ValueError("no fits to select from")
-    aics = [f.aic for f in fits]
-    return int(np.argmin(aics))
+    return int(np.argmin([f.aic for f in fits]))
 
 
 def sandwich_cov(
@@ -241,39 +224,35 @@ def _warm_start(series: TimeSeries, kind: PersistenceKind, box: ParamBox):
     return _interior(box, np.array([g0, 0.05, 0.5]))
 
 
-def _profile(phi, series: TimeSeries, kind: PersistenceKind, box: ParamBox) -> SdarParams:
-    """theta at phi with alpha and sigma at their box-constrained maximizers."""
-    theta = np.array([0.0, *phi, 1.0])
-    u = sdar_model.residuals(SdarParams.from_array(theta, kind), series)
-    theta[0] = np.clip(np.mean(u), box.lower[0], box.upper[0])
-    theta[4] = np.clip(np.sqrt(np.mean((u - theta[0]) ** 2)), box.lower[4], box.upper[4])
-    return SdarParams.from_array(theta, kind)
-
-
 class _ProfileKernel:
-    """Negated profile log-likelihood and phi gradient, with psi computed once per call.
+    """Profile of the likelihood over phi, and its negated value and phi gradient.
 
-    Built once per fit, it holds the lags, the targets and ln(y^2) of the
-    lags. A call evaluates the expressions of ``loglik`` and ``loglik_grad``
-    at ``_profile(phi)`` in their order, so it matches them bit for bit.
+    Built once per fit, it holds the series, its lags and targets and
+    ln(y^2) of the lags. A call evaluates the expressions of ``loglik`` and
+    ``loglik_grad`` at ``profile(phi)`` in their order, so it matches them
+    bit for bit.
     """
 
     def __init__(self, series: TimeSeries, kind: PersistenceKind, box: ParamBox):
-        self.lag, self.target = series.values[:-1], series.values[1:]
+        self.series, self.lag, self.target = series, series.values[:-1], series.values[1:]
         self.log_y2, self.kind, self.box = _log_y2(self.lag), kind, box
 
-    def __call__(self, phi):
-        kind, lo, hi, lag, target = self.kind, self.box.lower, self.box.upper, self.lag, self.target
+    def profile(self, phi):
+        """Parameters at phi with alpha and sigma profiled out; w and psi of the lags."""
+        kind, lo, hi, lag = self.kind, self.box.lower, self.box.upper, self.lag
         pf = PersistenceParams(*(float(v) for v in phi))
-        pf.validate(kind)  # before psi, as in _profile
+        pf.validate(kind)
         w, ps = _parts(kind, lag, pf)
-        u = target - ps * lag
+        u = self.target - ps * lag
         alpha = np.clip(np.mean(u), lo[0], hi[0])
         sigma = np.clip(np.sqrt(np.mean((u - alpha) ** 2)), lo[4], hi[4])
-        params = SdarParams(float(alpha), pf, float(sigma), kind)
-        xi = target - params.alpha - ps * lag
-        s = params.sigma
-        grad = _grad_stack(kind, w, ps, self.log_y2, pf.gamma1) @ (xi * lag) / (s * s)
+        return SdarParams(float(alpha), pf, float(sigma), kind), w, ps
+
+    def __call__(self, phi):
+        params, w, ps = self.profile(phi)
+        lag, s = self.lag, params.sigma
+        xi = sdar_model._innovations(params, self.series, ps)
+        grad = _grad_stack(self.kind, w, ps, self.log_y2, params.pf.gamma1) @ (xi * lag) / (s * s)
         return -sdar_model._gaussian_loglik(xi, s), -grad
 
 
@@ -319,7 +298,7 @@ def fit(
         if res.fun < best_f:
             best_f, best_phi = res.fun, res.x
 
-    params = _profile(best_phi, series, kind, box)
+    params = objective.profile(best_phi)[0]
     theta = params.to_array()
     ll = sdar_model.loglik(params, series)
     grad = sdar_model.loglik_grad(params, series)
@@ -331,8 +310,7 @@ def fit(
         _, cov = sandwich_cov(params, series)
         std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
-        cov = None
-        std_errors = None
+        cov = std_errors = None
 
     span = box.upper - box.lower
     at_boundary = (theta - box.lower <= _BOUNDARY_REL * span) | (

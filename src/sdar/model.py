@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .persistence import (
-    PersistenceKind,
-    PersistenceParams,
-    _grad_components,
-    psi,
-    psi_hess,
+    PersistenceKind, PersistenceParams, _grad_stack, _hess_stack, _log_y2, _parts, psi,
 )
 from .series import TimeSeries
 
@@ -85,22 +81,26 @@ def simulate(
     return TimeSeries(y)
 
 
-def persistence_series(params: SdarParams, series: TimeSeries) -> np.ndarray:
-    """Fitted persistence values psi(y_{t-1}) for t = 2..n (length n-1)."""
+def _lag(series):
+    """The lags Y_1..Y_{n-1}; the first observation is conditioned on."""
     if len(series) < 2:
         raise ValueError("series must have length >= 2")
-    return np.asarray(psi(params.kind, series.values[:-1], params.pf))
+    return series.values[:-1]
+
+
+def persistence_series(params: SdarParams, series: TimeSeries) -> np.ndarray:
+    """Fitted persistence values psi(y_{t-1}) for t = 2..n (length n-1)."""
+    return np.asarray(psi(params.kind, _lag(series), params.pf))
+
+
+def _innovations(params, series, ps):
+    """xi_t = Y_t - alpha - ps_t * Y_{t-1} for t = 2..n, given ps_t = psi(Y_{t-1})."""
+    return series.values[1:] - params.alpha - ps * series.values[:-1]
 
 
 def residuals(params: SdarParams, series: TimeSeries) -> np.ndarray:
-    """Innovation estimates xi_t = Y_t - alpha - psi(Y_{t-1}) * Y_{t-1}.
-
-    The first observation is conditioned on, so the output has length
-    n-1 (t = 2..n).
-    """
-    ps = persistence_series(params, series)
-    lag = series.values[:-1]
-    return series.values[1:] - params.alpha - ps * lag
+    """Innovation estimates xi_t = Y_t - alpha - psi(Y_{t-1}) * Y_{t-1}, t = 2..n."""
+    return _innovations(params, series, persistence_series(params, series))
 
 
 def loglik(params: SdarParams, series: TimeSeries) -> float:
@@ -119,15 +119,17 @@ def _gaussian_loglik(xi, s):
 
 
 def _terms(params, series):
-    """Lagged states, innovations and the psi gradient stack (3, n-1)."""
-    xi = residuals(params, series)
-    lag = series.values[:-1]
-    return lag, xi, _grad_components(params.kind, lag, params.pf)
+    """Lags, innovations, psi gradient stack (3, n-1) and psi pieces (w, psi, ln y^2)."""
+    lag, pf = _lag(series), params.pf
+    w, ps = _parts(params.kind, lag, pf)
+    lg = _log_y2(lag)
+    xi = _innovations(params, series, ps)
+    return lag, xi, _grad_stack(params.kind, w, ps, lg, pf.gamma1), (w, ps, lg)
 
 
 def loglik_grad(params: SdarParams, series: TimeSeries) -> np.ndarray:
     """Analytic gradient of the total log-likelihood in theta order."""
-    lag, xi, pg = _terms(params, series)
+    lag, xi, pg, _ = _terms(params, series)
     s = params.sigma
     s2 = s * s
     g = np.empty(5)
@@ -145,7 +147,7 @@ def loglik_hess(params: SdarParams, series: TimeSeries) -> np.ndarray:
 
 def _per_obs_score(params, series):
     """Per-observation score vectors, shape (5, n-1)."""
-    lag, xi, pg = _terms(params, series)
+    lag, xi, pg, _ = _terms(params, series)
     s = params.sigma
     s2 = s * s
     out = np.empty((5, lag.size))
@@ -157,12 +159,11 @@ def _per_obs_score(params, series):
 
 def _per_obs_hess(params, series):
     """Per-observation Hessian contributions, shape (5, 5, n-1)."""
-    lag, xi, pg = _terms(params, series)
+    lag, xi, pg, pieces = _terms(params, series)
     s = params.sigma
     s2, s3, s4 = s * s, s**3, s**4
-    ph = psi_hess(params.kind, lag, params.pf)                # (3, 3, n-1)
-    n = lag.size
-    h = np.empty((5, 5, n))
+    ph = _hess_stack(params.kind, *pieces, params.pf.gamma1)  # (3, 3, n-1)
+    h = np.empty((5, 5, lag.size))
     h[0, 0] = -1.0 / s2
     h[0, 1:4] = h[1:4, 0] = -lag * pg / s2
     h[0, 4] = h[4, 0] = -2.0 * xi / s3

@@ -106,13 +106,6 @@ def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
     return float(out[0]) if scalar else out
 
 
-def _grad_components(kind, y, p):
-    """Stacked (d/dgamma0, d/dgamma1, d/dr) of psi, vectorized in y."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    w, ps = _parts(kind, y, p)
-    return _grad_stack(kind, w, ps, _log_y2(y), p.gamma1)
-
-
 def _grad_stack(kind, w, ps, lg, gamma1):
     """The psi gradient stack from w = |y|^(2r), psi(y) and lg = ln(y^2)."""
     base = ps if kind is PersistenceKind.M1 else ps**2
@@ -127,7 +120,9 @@ def psi_grad(kind: PersistenceKind, y, p: PersistenceParams):
     array of shape (3, len(y)).
     """
     p.validate(kind)
-    g = _grad_components(kind, y, p)
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    w, ps = _parts(kind, y_arr, p)
+    g = _grad_stack(kind, w, ps, _log_y2(y_arr), p.gamma1)
     return g[:, 0] if np.asarray(y).ndim == 0 else g
 
 
@@ -140,14 +135,15 @@ def psi_hess(kind: PersistenceKind, y, p: PersistenceParams):
     (3, 3, len(y)).
     """
     p.validate(kind)
-    y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     w, ps = _parts(kind, y_arr, p)
-    lg = _log_y2(y_arr)
-    g1 = p.gamma1
+    h = _hess_stack(kind, w, ps, _log_y2(y_arr), p.gamma1)
+    return h[:, :, 0] if np.asarray(y).ndim == 0 else h
 
-    h = np.empty((3, 3, y_arr.size))
+
+def _hess_stack(kind, w, ps, lg, g1):
+    """The psi Hessian stack (3, 3, n) from w = |y|^(2r), psi(y) and lg = ln(y^2)."""
+    h = np.empty((3, 3, w.size))
     if kind is PersistenceKind.M1:
         h[0, 0] = ps
         h[0, 1] = w * ps
@@ -165,7 +161,7 @@ def psi_hess(kind: PersistenceKind, y, p: PersistenceParams):
     h[1, 0] = h[0, 1]
     h[2, 0] = h[0, 2]
     h[2, 1] = h[1, 2]
-    return h[:, :, 0] if scalar else h
+    return h
 
 
 def a1_bound_closed_form(kind: PersistenceKind, p: PersistenceParams) -> float:

@@ -13,6 +13,7 @@ one stacked solve per regime covers every candidate at once.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,19 @@ class SetarFit:
     n_obs: int
     loglik: float = float("nan")
 
+    def validate(self) -> None:
+        """Check the fields a forecast reads; aic, n_obs and the others are records."""
+        for i, d, phi in ((1, self.d1, self.phi1), (2, self.d2, self.phi2)):
+            if not (isinstance(d, numbers.Integral) and d >= 1 and np.shape(phi) == (d,)):
+                raise ValueError(f"invalid fit: d{i} = {d!r} is not the int len(phi{i}) >= 1")
+        scalars = (self.threshold, self.c1, self.c2, self.sigma1, self.sigma2)
+        if not all(isinstance(v, numbers.Real) for v in scalars):
+            raise ValueError("invalid fit: threshold, intercepts and noise scales must be numbers")
+        if not np.isfinite(np.r_[scalars, self.phi1, self.phi2]).all():
+            raise ValueError("invalid fit: non-finite threshold, coefficient or noise scale")
+        if min(self.sigma1, self.sigma2) < 0.0:
+            raise ValueError("invalid fit: negative noise scale")
+
     def to_json(self) -> str:
         doc = dict(vars(self))  # every field, in declaration order
         doc["phi1"] = [float(v) for v in self.phi1]
@@ -50,7 +64,9 @@ class SetarFit:
         doc = json.loads(text)
         doc["phi1"] = np.array(doc["phi1"], dtype=float)
         doc["phi2"] = np.array(doc["phi2"], dtype=float)
-        return cls(**doc)
+        fit = cls(**doc)
+        fit.validate()
+        return fit
 
 
 def fit_setar(
@@ -198,16 +214,11 @@ def mc_forecast_setar(
     """
     if H < 1 or M < 1:
         raise ValueError("H and M must be >= 1")
+    fit.validate()
     p = max(fit.d1, fit.d2)
     history = np.asarray(history, dtype=float)
     if history.size < p:
         raise ValueError(f"history must contain at least {p} values")
-    coefs = np.r_[fit.threshold, fit.c1, fit.c2, fit.phi1, fit.phi2]
-    if not np.isfinite(coefs).all():
-        raise ValueError("invalid fit: non-finite threshold or coefficient")
-    for scale in (fit.sigma1, fit.sigma2):
-        if not (scale >= 0.0 and np.isfinite(scale)):
-            raise ValueError(f"invalid fit: noise scale {scale} is not >= 0")
 
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal((M, H))

@@ -232,7 +232,29 @@ class TestForecast:
         rc = main(["forecast", "--input", str(path), "--fit", str(fit_path),
                    "--horizon", "3", "--mc", "200", "--out", str(out)])
         assert rc == 1
-        assert "error: invalid fit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {fit_path}: invalid fit JSON" in err
+        assert "invalid fit: non-finite" in err
+        assert not (out / "forecast.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d1", "2"), ("d1", 2.5), ("d1", 0), ("sigma1", None), ("threshold", "x")],
+        ids=["d1-string", "d1-float", "d1-zero", "sigma1-null", "threshold-string"],
+    )
+    def test_mistyped_setar_fit_exit_1(self, tmp_path, capsys, field, value):
+        path = write_returns(tmp_path, gen_setar(600, seed=4))
+        fit_dir = tmp_path / "sf"
+        main(["fit-setar", "--input", str(path), "--max-lag", "2", "--out", str(fit_dir)])
+        fit_path = fit_dir / "setar_fit.json"
+        doc = json.loads(fit_path.read_text())
+        doc[field] = value
+        fit_path.write_text(json.dumps(doc))
+        out = tmp_path / "sfc"
+        rc = main(["forecast", "--input", str(path), "--fit", str(fit_path),
+                   "--horizon", "3", "--mc", "200", "--out", str(out)])
+        assert rc == 1
+        assert f"error: {fit_path}: invalid fit JSON (" in capsys.readouterr().err
         assert not (out / "forecast.csv").exists()
 
     def test_non_finite_alpha_fit_exit_1(self, sdar_csv, tmp_path, capsys):

@@ -15,17 +15,30 @@ from sdar import (
     fit,
     loglik,
     loglik_grad,
+    residuals,
     sandwich_cov,
     select_model,
     simulate,
 )
 
 from sdar import estimation
-from sdar.estimation import _ProfileKernel, _profile, _start_points, _warm_start
+from sdar.estimation import _ProfileKernel, _start_points, _warm_start
 
 from conftest import gen_ar1, m1_identified_truth, m1_truth
 
 M1, M2 = PersistenceKind.M1, PersistenceKind.M2
+
+
+def _profile(phi, series, kind, box):
+    """theta at phi with alpha and sigma at their box-constrained maximizers.
+
+    Built from `residuals`, independently of `_ProfileKernel.profile`.
+    """
+    theta = np.array([0.0, *phi, 1.0])
+    u = residuals(SdarParams.from_array(theta, kind), series)
+    theta[0] = np.clip(np.mean(u), box.lower[0], box.upper[0])
+    theta[4] = np.clip(np.sqrt(np.mean((u - theta[0]) ** 2)), box.lower[4], box.upper[4])
+    return SdarParams.from_array(theta, kind)
 
 
 class TestParamBox:
@@ -167,6 +180,9 @@ class TestProfileKernel:
         kernel = _ProfileKernel(series, kind, box)
         reference = reference_objective(series, kind, box)
         for phi in phis:
+            assert np.array_equal(
+                kernel.profile(phi)[0].to_array(), _profile(phi, series, kind, box).to_array()
+            )
             value, grad = kernel(phi)
             ref_value, ref_grad = reference(phi)
             assert value == ref_value
@@ -224,11 +240,18 @@ class TestProfileKernel:
         fused = fit(y, kind, n_starts=4, seed=1).to_json()
         built = []
 
-        def reference(*args):
-            built.append(args)
-            return reference_objective(*args)
+        class Reference(_ProfileKernel):
+            """Optimizes the reference objective; `fit` still profiles through it."""
 
-        monkeypatch.setattr(estimation, "_ProfileKernel", reference)
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(args)
+                self.reference = reference_objective(*args)
+
+            def __call__(self, phi):
+                return self.reference(phi)
+
+        monkeypatch.setattr(estimation, "_ProfileKernel", Reference)
         assert fit(y, kind, n_starts=4, seed=1).to_json() == fused
         assert len(built) == 1
 
@@ -397,18 +420,17 @@ class TestFitBehaviour:
         np.testing.assert_array_equal(runs, [_warm_start(y, M1, ParamBox.default(M1))])
 
     def test_json_roundtrip(self):
-        y = simulate(m1_truth(), 300, seed=17)
-        res = fit(y, M1, n_starts=4, seed=9)
-        back = FitResult.from_json(res.to_json())
-        np.testing.assert_allclose(
-            back.theta_hat.to_array(), res.theta_hat.to_array()
-        )
-        assert back.loglik == pytest.approx(res.loglik)
-        assert back.converged == res.converged
-        if res.covariance is None:
-            assert back.covariance is None
-        else:
-            np.testing.assert_allclose(back.covariance, res.covariance)
+        with_se = fit(simulate(m1_truth(), 300, seed=17), M1, n_starts=4, seed=9)
+        # the singular-Hessian fit of TestSandwich, which has no covariance
+        p = SdarParams(0.0, PersistenceParams(40.0, 0.0, 1.0), 1.0, M1)
+        box = ParamBox(np.array([-10.0, 40.0, 0.0, 1.0, 1e-4]),
+                       np.array([10.0, 40.0, 0.0, 1.0, 10.0]))
+        without = fit(simulate(p, 250, seed=20), M1, box=box, n_starts=4, seed=10)
+        assert with_se.std_errors is not None
+        assert without.std_errors is None and without.covariance is None
+        for res in (with_se, without):
+            text = res.to_json()
+            assert FitResult.from_json(text).to_json() == text
 
 
 class TestSandwich:

@@ -182,6 +182,13 @@ class TestDerivatives:
             rtol=1e-10,
         )
 
+    @pytest.mark.parametrize(
+        "func", [loglik_grad, loglik_hess, _per_obs_score], ids=lambda f: f.__name__
+    )
+    def test_length_one_series_rejected(self, func):
+        with pytest.raises(ValueError, match="length >= 2"):
+            func(m1_truth(), TimeSeries(np.array([0.5])))
+
 
 class TestPersistenceSeries:
     def test_values_and_length(self):
