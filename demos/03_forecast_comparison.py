@@ -19,10 +19,11 @@ from sdar import (
     SdarParams,
     fit,
     mc_forecast_sdar,
-    mc_forecast_setar,
     relative_efficiency,
     rolling_evaluate,
+    sdar_paths,
     select_setar,
+    setar_paths,
     simulate,
     split,
 )
@@ -47,22 +48,18 @@ print(f"SETAR(2,{setar_fit.d1},{setar_fit.d2}) "
 H, M = 10, 5000
 
 
-# rolling_evaluate scores only the forecast means, so the rolling
-# forecasters skip the quantile bands.
-def forecast_sdar(history, H, M, seed):
-    return mc_forecast_sdar(sdar_fit, history[-1], H, M, seed,
-                            quantile_probs=())
+# A rolling forecaster maps (history, z) to the per-horizon means, where
+# z is the origin's (M, H) standard-normal draw, shared by both models.
+def forecast_sdar(history, z):
+    return sdar_paths(sdar_fit, history[-1], z).mean(axis=0)
 
 
-def forecast_setar(history, H, M, seed):
-    return mc_forecast_setar(setar_fit, history, H, M, seed,
-                             quantile_probs=())
+def forecast_setar(history, z):
+    return setar_paths(setar_fit, history, z).mean(axis=0)
 
 
-acc_sdar = rolling_evaluate(forecast_sdar, train, test, H, M=M, seed=1,
-                            mode="rolling-origin")
-acc_setar = rolling_evaluate(forecast_setar, train, test, H, M=M, seed=1,
-                             mode="rolling-origin")
+acc_sdar, acc_setar = rolling_evaluate([forecast_sdar, forecast_setar], train, test,
+                                       H, M=M, seed=1, mode="rolling-origin")
 print(f"\n{acc_sdar.n_origins} forecast origins")
 
 re = relative_efficiency(acc_sdar, acc_setar)

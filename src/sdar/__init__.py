@@ -22,6 +22,7 @@ from .forecast import (
     mc_forecast_sdar,
     relative_efficiency,
     rolling_evaluate,
+    sdar_paths,
 )
 from .model import (
     SdarParams,
@@ -52,7 +53,7 @@ from .series import (
     realized_volatility,
     split,
 )
-from .setar import SetarFit, fit_setar, mc_forecast_setar, select_setar
+from .setar import SetarFit, fit_setar, mc_forecast_setar, select_setar, setar_paths
 
 __version__ = "0.1.0"
 
@@ -93,8 +94,10 @@ __all__ = [
     "residuals",
     "rolling_evaluate",
     "sandwich_cov",
+    "sdar_paths",
     "select_model",
     "select_setar",
+    "setar_paths",
     "simulate",
     "split",
 ]

@@ -26,11 +26,12 @@ from .forecast import (
     relative_efficiency,
     relative_efficiency_csv,
     rolling_evaluate,
+    sdar_paths,
 )
 from .model import SdarParams, persistence_series
 from .persistence import PersistenceKind, PersistenceParams, check_assumptions
 from .series import IngestError, TimeSeries, load_returns, log_transform, realized_volatility, split
-from .setar import SetarFit, mc_forecast_setar, select_setar
+from .setar import SetarFit, mc_forecast_setar, select_setar, setar_paths
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -257,6 +258,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.horizon < 1 or args.mc < 1:
+        raise IngestError("--horizon and --mc must be >= 1")
     series = _load_series(args)
     train, test = split(series, args.n_train)
     if args.horizon > len(test):
@@ -268,19 +271,16 @@ def cmd_compare(args) -> int:
     sdar_fit = sdar_fits[best]
     setar_fit = select_setar(train, max_lag=args.max_lag, trim=args.trim)
 
-    # rolling_evaluate reads only the means, so skip the quantile bands.
-    def sdar_forecaster(history, H, M, seed):
-        return mc_forecast_sdar(sdar_fit, history[-1], H, M, seed,
-                                quantile_probs=())
+    # Both models read the same draw at each origin; only the means are scored.
+    def sdar_forecaster(history, z):
+        return sdar_paths(sdar_fit, history[-1], z).mean(axis=0)
 
-    def setar_forecaster(history, H, M, seed):
-        return mc_forecast_setar(setar_fit, history, H, M, seed,
-                                 quantile_probs=())
+    def setar_forecaster(history, z):
+        return setar_paths(setar_fit, history, z).mean(axis=0)
 
-    sdar_acc = rolling_evaluate(sdar_forecaster, train, test, args.horizon,
-                                args.mc, args.seed, args.mode)
-    setar_acc = rolling_evaluate(setar_forecaster, train, test, args.horizon,
-                                 args.mc, args.seed, args.mode)
+    sdar_acc, setar_acc = rolling_evaluate(
+        [sdar_forecaster, setar_forecaster], train, test, args.horizon,
+        args.mc, args.seed, args.mode)
     re = relative_efficiency(sdar_acc, setar_acc)
     _write(args, {"re_table.csv": relative_efficiency_csv(re),
                   "sdar_accuracy.csv": sdar_acc.to_csv(),

@@ -4,8 +4,10 @@ Forecasts iterate the fitted one-step map forward with fresh Gaussian
 innovations along each of M simulated paths; per-horizon point
 forecasts are the path means and intervals come from the empirical
 path distribution. Accuracy is scored per horizon with MAFE, MSFE and
-MAPE, and two models are compared through relative-efficiency ratios
-(SDAR over baseline; values below one favor SDAR).
+MAPE over forecast origins, where every model reads the same draw of
+standard normals, and two models are compared through
+relative-efficiency ratios (SDAR over baseline; values below one favor
+SDAR).
 """
 
 from __future__ import annotations
@@ -79,6 +81,24 @@ def _summarize(paths: np.ndarray, seed: int, quantile_probs) -> ForecastResult:
     )
 
 
+def sdar_paths(fit, y_n: float, z: np.ndarray) -> np.ndarray:
+    """The (M, H) SDAR paths from last observation y_n.
+
+    ``z`` holds the (M, H) standard normals that drive the paths; it is
+    only read. ``fit`` may be a `FitResult` or the `SdarParams` directly.
+    """
+    params: SdarParams = getattr(fit, "theta_hat", fit)
+    if not np.isfinite(y_n):
+        raise ValueError(f"y_n must be finite, got {y_n}")
+    paths = np.empty(z.shape)
+    state = np.full(z.shape[0], float(y_n))
+    for h in range(z.shape[1]):
+        ps = np.asarray(psi(params.kind, state, params.pf))
+        state = params.alpha + ps * state + z[:, h] * params.sigma
+        paths[:, h] = state
+    return paths
+
+
 def mc_forecast_sdar(
     fit,
     y_n: float,
@@ -94,93 +114,88 @@ def mc_forecast_sdar(
     the result is deterministic given (fit, y_n, H, M, seed) and
     independent of path evaluation order.
     """
-    params: SdarParams = getattr(fit, "theta_hat", fit)
     if H < 1 or M < 1:
         raise ValueError("H and M must be >= 1")
-    if not np.isfinite(y_n):
-        raise ValueError(f"y_n must be finite, got {y_n}")
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((M, H)) * params.sigma
-    paths = np.empty((M, H))
-    state = np.full(M, float(y_n))
-    for h in range(H):
-        ps = np.asarray(psi(params.kind, state, params.pf))
-        state = params.alpha + ps * state + eps[:, h]
-        paths[:, h] = state
-    return _summarize(paths, seed, quantile_probs)
+    z = np.random.default_rng(seed).standard_normal((M, H))
+    return _summarize(sdar_paths(fit, y_n, z), seed, quantile_probs)
 
 
-def evaluate_forecasts(actuals, forecast: ForecastResult) -> AccuracyReport:
+def evaluate_forecasts(actuals, forecast: ForecastResult | np.ndarray) -> AccuracyReport:
     """Score a single-origin forecast against realized values.
 
-    MAPE entries at zero actuals are NaN; the other metrics are still
-    computed.
+    ``forecast`` is a `ForecastResult` or the per-horizon means
+    directly. MAPE entries at zero actuals are NaN; the other metrics
+    are still computed.
     """
     actuals = np.asarray(actuals, dtype=float)
-    if actuals.size != forecast.horizon:
-        raise ValueError(
-            f"need {forecast.horizon} actuals, got {actuals.size}"
-        )
-    err = np.abs(actuals - forecast.means)
+    means = np.asarray(getattr(forecast, "means", forecast), dtype=float)
+    if actuals.size != means.size:
+        raise ValueError(f"need {means.size} actuals, got {actuals.size}")
+    err = np.abs(actuals - means)
     with np.errstate(divide="ignore", invalid="ignore"):
         mape = np.where(actuals != 0.0, err / np.abs(actuals), np.nan)
     return AccuracyReport(mafe=err, msfe=err**2, mape=mape, n_origins=1)
 
 
 def rolling_evaluate(
-    forecaster,
+    forecasters,
     series_train: TimeSeries,
     series_test: TimeSeries,
     H: int,
     M: int = 10_000,
     seed: int = 0,
     mode: str = "single-origin",
-) -> AccuracyReport:
-    """Out-of-sample evaluation of a forecaster over the test window.
+) -> list[AccuracyReport]:
+    """Out-of-sample evaluation of forecasters over the test window.
 
     Parameters
     ----------
-    forecaster : callable
-        ``forecaster(history, H, M, seed) -> ForecastResult`` where
-        ``history`` is the full conditioning array up to the forecast
-        origin. Parameters are not re-estimated per origin. Only
-        ``ForecastResult.means`` is read, so a forecaster may pass
-        ``quantile_probs=()`` to skip the quantile bands.
+    forecasters : sequence of callables
+        ``forecaster(history, z) -> means`` where ``history`` is the
+        full conditioning array up to the forecast origin, ``z`` the
+        read-only (M, H) standard normals of that origin and ``means``
+        the (H,) point forecasts. Origin o draws
+        ``default_rng(seed + o).standard_normal((M, H))`` once and every
+        forecaster gets the same draw. Parameters are not re-estimated
+        per origin.
     mode : {"single-origin", "rolling-origin"}
         Single-origin issues one forecast from the end of the training
         window (origin 0 only). Rolling issues a full H-step forecast
         from every origin whose targets all lie inside the test window
         (origin o uses the realized test values up to o), giving
         ``len(test) - H + 1`` origins at every horizon.
+
+    Returns one `AccuracyReport` per forecaster, in order.
     """
     train = series_train.values
     test = series_test.values
+    if H < 1 or M < 1:
+        raise ValueError("H and M must be >= 1")
     if mode not in ("single-origin", "rolling-origin"):
         raise ValueError(f"unknown mode {mode!r}")
     if test.size < H:
         raise ValueError(f"test window shorter than horizon {H}")
     n_origins = 1 if mode == "single-origin" else test.size - H + 1
-    abs_err = np.zeros(H)
-    sq_err = np.zeros(H)
-    pct_err = np.zeros(H)
+    abs_err = np.zeros((len(forecasters), H))
+    sq_err = np.zeros_like(abs_err)
+    pct_err = np.zeros_like(abs_err)
     pct_count = np.zeros(H)
     for o in range(n_origins):
         history = np.concatenate([train, test[:o]])
         actual = test[o : o + H]
-        one = evaluate_forecasts(actual, forecaster(history, H, M, seed + o))
-        abs_err += one.mafe
-        sq_err += one.msfe
         nz = actual != 0.0
-        pct_err[nz] += one.mape[nz]
+        z = np.random.default_rng(seed + o).standard_normal((M, H))
+        z.flags.writeable = False
+        for k, forecaster in enumerate(forecasters):
+            one = evaluate_forecasts(actual, forecaster(history, z))
+            abs_err[k] += one.mafe
+            sq_err[k] += one.msfe
+            pct_err[k, nz] += one.mape[nz]
         pct_count += nz
     with np.errstate(divide="ignore", invalid="ignore"):
         mape = np.where(pct_count > 0, pct_err / pct_count, np.nan)
-    return AccuracyReport(
-        mafe=abs_err / n_origins,
-        msfe=sq_err / n_origins,
-        mape=mape,
-        n_origins=n_origins,
-    )
+    return [AccuracyReport(a / n_origins, s / n_origins, m, n_origins)
+            for a, s, m in zip(abs_err, sq_err, mape)]
 
 
 def relative_efficiency(a: AccuracyReport, b: AccuracyReport) -> np.ndarray:

@@ -197,6 +197,41 @@ def select_setar(
     return best
 
 
+def setar_paths(fit: SetarFit, history, z: np.ndarray) -> np.ndarray:
+    """The (M, H) SETAR paths from the last observed values.
+
+    Each path iterates the two-regime map, deciding the regime at every
+    step from the previous (simulated) value, with regime-specific
+    Gaussian noise ``sigma * z``; ``z`` holds the (M, H) standard
+    normals and is only read. At h = 1 the regime is decided by real
+    data, so it is identical across paths.
+    """
+    fit.validate()
+    p = max(fit.d1, fit.d2)
+    history = np.asarray(history, dtype=float)
+    if history.size < p:
+        raise ValueError(f"history must contain at least {p} values")
+    if not np.isfinite(history[-p:]).all():
+        raise ValueError(f"history must be finite in its last {p} values")
+    M, H = z.shape
+    # buf[:, h : h + p] is the lag state of step h, oldest first; step h
+    # writes column p + h, so the paths fill buf[:, p:].
+    buf = np.empty((M, p + H))
+    buf[:, :p] = history[-p:]
+    phi1 = fit.phi1[::-1]  # align with state columns (oldest first)
+    phi2 = fit.phi2[::-1]
+    for h in range(H):
+        low = buf[:, h + p - 1] <= fit.threshold
+        mean = np.where(
+            low,
+            fit.c1 + buf[:, h + p - fit.d1 : h + p] @ phi1,
+            fit.c2 + buf[:, h + p - fit.d2 : h + p] @ phi2,
+        )
+        sigma = np.where(low, fit.sigma1, fit.sigma2)
+        buf[:, p + h] = mean + sigma * z[:, h]
+    return buf[:, p:]
+
+
 def mc_forecast_setar(
     fit: SetarFit,
     history,
@@ -207,36 +242,9 @@ def mc_forecast_setar(
 ) -> ForecastResult:
     """Monte-Carlo multi-step SETAR forecast from the last observed values.
 
-    Each path iterates the two-regime map, deciding the regime at every
-    step from the previous (simulated) value, with regime-specific
-    Gaussian noise. At h = 1 the regime is decided by real data, so it
-    is identical across paths.
+    The paths are `setar_paths` driven by one seeded (M, H) draw.
     """
     if H < 1 or M < 1:
         raise ValueError("H and M must be >= 1")
-    fit.validate()
-    p = max(fit.d1, fit.d2)
-    history = np.asarray(history, dtype=float)
-    if history.size < p:
-        raise ValueError(f"history must contain at least {p} values")
-
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((M, H))
-    # state[:, -1] is the most recent value.
-    state = np.tile(history[-p:], (M, 1))
-    paths = np.empty((M, H))
-    phi1 = fit.phi1[::-1]  # align with state columns (oldest first)
-    phi2 = fit.phi2[::-1]
-    for h in range(H):
-        prev = state[:, -1]
-        low = prev <= fit.threshold
-        mean = np.where(
-            low,
-            fit.c1 + state[:, p - fit.d1 :] @ phi1,
-            fit.c2 + state[:, p - fit.d2 :] @ phi2,
-        )
-        sigma = np.where(low, fit.sigma1, fit.sigma2)
-        new = mean + sigma * eps[:, h]
-        paths[:, h] = new
-        state = np.concatenate([state[:, 1:], new[:, None]], axis=1)
-    return _summarize(paths, seed, quantile_probs)
+    z = np.random.default_rng(seed).standard_normal((M, H))
+    return _summarize(setar_paths(fit, history, z), seed, quantile_probs)

@@ -31,8 +31,10 @@ from sdar import (
     realized_volatility,
     relative_efficiency,
     rolling_evaluate,
+    sdar_paths,
     select_model,
     select_setar,
+    setar_paths,
     simulate,
 )
 
@@ -333,16 +335,15 @@ class TestCriterion7CompareHarness:
             sdar_fit = fit(train, M1, n_starts=8, seed=seed)
             setar_fit = select_setar(train, max_lag=3)
 
-            def fc_sdar(history, HH, MM, s):
-                return mc_forecast_sdar(sdar_fit, history[-1], HH, MM, s)
+            def fc_sdar(history, z):
+                return sdar_paths(sdar_fit, history[-1], z).mean(axis=0)
 
-            def fc_setar(history, HH, MM, s):
-                return mc_forecast_setar(setar_fit, history, HH, MM, s)
+            def fc_setar(history, z):
+                return setar_paths(setar_fit, history, z).mean(axis=0)
 
-            acc_sdar = rolling_evaluate(fc_sdar, train, test, H, M=2000,
-                                        seed=seed, mode="rolling-origin")
-            acc_setar = rolling_evaluate(fc_setar, train, test, H, M=2000,
-                                         seed=seed, mode="rolling-origin")
+            acc_sdar, acc_setar = rolling_evaluate(
+                [fc_sdar, fc_setar], train, test, H, M=2000, seed=seed,
+                mode="rolling-origin")
             re_sum += relative_efficiency(acc_sdar, acc_setar)[1]  # msfe row
         re_avg = re_sum / n_seeds
         wins = int(np.sum(re_avg[1:] < 1.0))  # horizons 2..10

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import sdar.cli
 from sdar import PersistenceKind, simulate
 from sdar.cli import main
 
@@ -339,6 +340,24 @@ class TestCompare:
                    "--n-starts", "-1", "--out", str(out)])
         assert rc == 1
         assert "error: n_starts must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--horizon", "0"), ("--mc", "0"),
+                                             ("--horizon", "-2")])
+    def test_bad_horizon_or_mc_exit_1_before_fitting(self, tmp_path, capsys,
+                                                      monkeypatch, flag, value):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(sdar.cli, "fit", no_fit)
+        monkeypatch.setattr(sdar.cli, "select_setar", no_fit)
+        y = simulate(m1_truth(), 450, seed=91).values
+        path = write_returns(tmp_path, y)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", str(path), "--n-train", "430",
+                   flag, value, "--out", str(out)])
+        assert rc == 1
+        assert "error: --horizon and --mc must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 

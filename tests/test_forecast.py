@@ -7,16 +7,22 @@ from sdar import (
     PersistenceKind,
     PersistenceParams,
     SdarParams,
+    SetarFit,
     TimeSeries,
     evaluate_forecasts,
+    fit_setar,
     mc_forecast_sdar,
+    mc_forecast_setar,
+    psi,
     relative_efficiency,
     rolling_evaluate,
+    sdar_paths,
+    setar_paths,
     simulate,
 )
 from sdar.forecast import _empirical_quantiles, relative_efficiency_csv
 
-from conftest import m1_truth
+from conftest import gen_setar, m1_truth
 
 M1 = PersistenceKind.M1
 
@@ -28,8 +34,6 @@ def tiny_sigma_params(alpha=-1.0):
 
 
 def noiseless_path(params, y0, H):
-    from sdar import psi
-
     out = np.empty(H)
     prev = y0
     for h in range(H):
@@ -163,41 +167,43 @@ class TestEvaluateForecasts:
 
 
 def constant_forecaster(value):
-    def forecaster(history, H, M, seed):
-        return ForecastResult(
-            horizon=H,
-            means=np.full(H, float(value)),
-            quantiles={},
-            M=M,
-            seed=seed,
-        )
+    def forecaster(history, z):
+        return np.full(z.shape[1], float(value))
 
     return forecaster
+
+
+def seed_of(z):
+    """The seed whose ``default_rng`` draw of z's shape is z."""
+    return next(s for s in range(1000)
+                if np.array_equal(np.random.default_rng(s).standard_normal(z.shape), z))
 
 
 class TestRollingEvaluate:
     def test_single_origin_equals_direct_eval(self):
         train = TimeSeries(np.arange(30.0))
         test = TimeSeries(np.array([4.0, 5.0, 6.0]))
-        rep = rolling_evaluate(
-            constant_forecaster(5.0), train, test, H=3, mode="single-origin"
+        (rep,) = rolling_evaluate(
+            [constant_forecaster(5.0)], train, test, H=3, mode="single-origin"
         )
         np.testing.assert_allclose(rep.mafe, [1.0, 0.0, 1.0])
         assert rep.n_origins == 1
 
     def test_single_origin_is_evaluate_forecasts(self):
-        # a forecaster that reads its history and seed, and a zero in
+        # a forecaster that reads its history and draw, and a zero in
         # the test window, so MAPE has an undefined horizon
-        def forecaster(history, H, M, seed):
-            return mc_forecast_sdar(m1_truth(), history[-1], H, M, seed)
+        def forecaster(history, z):
+            return sdar_paths(m1_truth(), history[-1], z).mean(axis=0)
 
         y = simulate(m1_truth(), 220, seed=41).values
         train = TimeSeries(y[:200])
         test = TimeSeries(np.r_[y[200:202], 0.0, y[203:]])
-        rep = rolling_evaluate(
-            forecaster, train, test, H=5, M=500, seed=9, mode="single-origin"
+        (rep,) = rolling_evaluate(
+            [forecaster], train, test, H=5, M=500, seed=9, mode="single-origin"
         )
-        direct = evaluate_forecasts(test.values[:5], forecaster(train.values, 5, 500, 9))
+        direct = evaluate_forecasts(
+            test.values[:5], mc_forecast_sdar(m1_truth(), train.values[-1], 5, 500, 9)
+        )
         assert np.isnan(rep.mape[2])
         np.testing.assert_array_equal(rep.mafe, direct.mafe)
         np.testing.assert_array_equal(rep.msfe, direct.msfe)
@@ -208,8 +214,8 @@ class TestRollingEvaluate:
         # test window of H+1 points gives exactly 2 origins
         train = TimeSeries(np.zeros(20))
         test = TimeSeries(np.arange(1.0, 5.0))  # 4 points
-        rep = rolling_evaluate(
-            constant_forecaster(0.0), train, test, H=3, mode="rolling-origin"
+        (rep,) = rolling_evaluate(
+            [constant_forecaster(0.0)], train, test, H=3, mode="rolling-origin"
         )
         assert rep.n_origins == 2
         # origins forecast (1,2,3) and (2,3,4); mean abs err = (1.5, 2.5, 3.5)
@@ -219,15 +225,13 @@ class TestRollingEvaluate:
     def test_rolling_history_grows_with_origin(self):
         seen = []
 
-        def spy(history, H, M, seed):
-            seen.append((history.size, seed))
-            return ForecastResult(
-                horizon=H, means=np.zeros(H), quantiles={}, M=M, seed=seed
-            )
+        def spy(history, z):
+            seen.append((history.size, seed_of(z)))
+            return np.zeros(z.shape[1])
 
         train = TimeSeries(np.zeros(10))
         test = TimeSeries(np.ones(4))
-        rolling_evaluate(spy, train, test, H=2, seed=100, mode="rolling-origin")
+        rolling_evaluate([spy], train, test, H=2, seed=100, mode="rolling-origin")
         assert seen == [(10, 100), (11, 101), (12, 102)]
 
     def test_horizon_too_long_rejected(self):
@@ -235,7 +239,7 @@ class TestRollingEvaluate:
         test = TimeSeries(np.ones(2))
         with pytest.raises(ValueError):
             rolling_evaluate(
-                constant_forecaster(0.0), train, test, H=5, mode="single-origin"
+                [constant_forecaster(0.0)], train, test, H=5, mode="single-origin"
             )
 
     def test_unknown_mode_rejected(self):
@@ -243,25 +247,152 @@ class TestRollingEvaluate:
         test = TimeSeries(np.ones(5))
         with pytest.raises(ValueError, match="mode"):
             rolling_evaluate(
-                constant_forecaster(0.0), train, test, H=2, mode="expanding"
+                [constant_forecaster(0.0)], train, test, H=2, mode="expanding"
             )
+
+    @pytest.mark.parametrize("H, M", [(0, 10), (2, 0), (-2, 10)])
+    def test_bad_horizon_or_path_count_rejected(self, H, M):
+        train = TimeSeries(np.zeros(10))
+        test = TimeSeries(np.ones(5))
+        with pytest.raises(ValueError, match="H and M must be >= 1"):
+            rolling_evaluate([lambda *a: None], train, test, H=H, M=M)
 
     def test_sdar_end_to_end_beats_flat_forecast(self):
         p = m1_truth()
         y = simulate(p, 600, seed=40).values
         train, test = TimeSeries(y[:580]), TimeSeries(y[580:])
 
-        def sdar_forecaster(history, H, M, seed):
-            return mc_forecast_sdar(p, history[-1], H, M, seed)
+        def sdar_forecaster(history, z):
+            return sdar_paths(p, history[-1], z).mean(axis=0)
 
-        rep = rolling_evaluate(
-            sdar_forecaster, train, test, H=4, M=2000, seed=50,
+        (rep,) = rolling_evaluate(
+            [sdar_forecaster], train, test, H=4, M=2000, seed=50,
             mode="rolling-origin",
         )
-        flat = rolling_evaluate(
-            constant_forecaster(0.0), train, test, H=4, mode="rolling-origin"
+        (flat,) = rolling_evaluate(
+            [constant_forecaster(0.0)], train, test, H=4, mode="rolling-origin"
         )
         assert np.all(rep.msfe < flat.msfe)
+
+
+def m2_truth():
+    return SdarParams(-1.5, PersistenceParams(1.5, 0.1, 0.5), 0.5, PersistenceKind.M2)
+
+
+def setar_1_3():
+    """An asymmetric SETAR(2,1,3): AR(1) below the threshold, AR(3) above."""
+    return fit_setar(TimeSeries(gen_setar(600, seed=17)), 1, 3)
+
+
+MODELS = {"M1": m1_truth, "M2": m2_truth, "SETAR(2,1,3)": setar_1_3}
+
+
+def fan(model, history, H, M, seed):
+    if isinstance(model, SetarFit):
+        return mc_forecast_setar(model, history, H, M, seed)
+    return mc_forecast_sdar(model, history[-1], H, M, seed)
+
+
+def means_forecaster(model):
+    if isinstance(model, SetarFit):
+        return lambda history, z: setar_paths(model, history, z).mean(axis=0)
+    return lambda history, z: sdar_paths(model, history[-1], z).mean(axis=0)
+
+
+def reference_paths(model, history, H, M, seed):
+    """The path loops as first written: a pre-scaled SDAR draw, and a
+    SETAR lag state rebuilt by ``np.concatenate`` at every step."""
+    eps = np.random.default_rng(seed).standard_normal((M, H))
+    paths = np.empty((M, H))
+    if not isinstance(model, SetarFit):
+        eps = eps * model.sigma
+        state = np.full(M, float(history[-1]))
+        for h in range(H):
+            state = model.alpha + psi(model.kind, state, model.pf) * state + eps[:, h]
+            paths[:, h] = state
+        return paths
+    p = max(model.d1, model.d2)
+    state = np.tile(history[-p:], (M, 1))
+    phi1, phi2 = model.phi1[::-1], model.phi2[::-1]
+    for h in range(H):
+        low = state[:, -1] <= model.threshold
+        mean = np.where(low, model.c1 + state[:, p - model.d1 :] @ phi1,
+                        model.c2 + state[:, p - model.d2 :] @ phi2)
+        new = mean + np.where(low, model.sigma1, model.sigma2) * eps[:, h]
+        paths[:, h] = new
+        state = np.concatenate([state[:, 1:], new[:, None]], axis=1)
+    return paths
+
+
+class TestPathLoopParity:
+    """The shared path loops against independent references, bit for bit."""
+
+    def window(self):
+        y = gen_setar(250, seed=23)
+        y[244] = 0.0  # a zero actual: MAPE skips it at the origins that see it
+        return TimeSeries(y[:230]), TimeSeries(y[230:])
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    @pytest.mark.parametrize("H, M", [(6, 400), (1, 1), (1, 7), (3, 1)])
+    def test_fan_equals_reference_loop(self, name, H, M):
+        model = MODELS[name]()
+        history = gen_setar(50, seed=29)
+        fc = fan(model, history, H, M, 5)
+        paths = reference_paths(model, history, H, M, 5)
+        assert np.array_equal(fc.means, paths.mean(axis=0))
+        assert sorted(fc.quantiles) == [0.05, 0.25, 0.5, 0.75, 0.95]
+        for q, got in fc.quantiles.items():
+            assert np.array_equal(got, np.quantile(paths, q, axis=0))
+        want_std = paths.std(axis=0, ddof=1) if M > 1 else np.zeros(H)
+        assert np.array_equal(fc.path_std, want_std)
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_rolling_equals_per_origin_mc_forecasts(self, name):
+        model = MODELS[name]()
+        companion = m1_truth() if isinstance(model, SetarFit) else setar_1_3()
+        train, test = self.window()
+        H, M, seed = 4, 300, 31
+        reports = rolling_evaluate(
+            [means_forecaster(model), means_forecaster(companion)],
+            train, test, H, M, seed, mode="rolling-origin",
+        )
+        assert len(reports) == 2
+        n = test.values.size - H + 1
+        for rep, mod in zip(reports, (model, companion)):
+            ones = [
+                evaluate_forecasts(
+                    test.values[o : o + H],
+                    fan(mod, np.r_[train.values, test.values[:o]], H, M, seed + o),
+                )
+                for o in range(n)
+            ]
+            assert rep.n_origins == n
+            assert np.array_equal(rep.mafe, sum(r.mafe for r in ones) / n)
+            assert np.array_equal(rep.msfe, sum(r.msfe for r in ones) / n)
+            for h in range(H):
+                defined = [r.mape[h] for r in ones if not np.isnan(r.mape[h])]
+                assert len(defined) == n - 1  # one origin meets the zero at h
+                assert rep.mape[h] == sum(defined) / len(defined)
+
+    def test_forecasters_share_one_read_only_draw(self):
+        seen = []
+
+        def spy(history, z):
+            seen.append((history.size, z))
+            return np.zeros(z.shape[1])
+
+        train, test = self.window()
+        rolling_evaluate([spy, spy], train, test, H=3, M=50, seed=5, mode="rolling-origin")
+        n = test.values.size - 3 + 1
+        assert len(seen) == 2 * n
+        for o in range(n):
+            (size_a, a), (size_b, b) = seen[2 * o], seen[2 * o + 1]
+            assert size_a == size_b == train.values.size + o
+            assert a is b
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+            assert np.array_equal(a, np.random.default_rng(5 + o).standard_normal((50, 3)))
 
 
 class TestRelativeEfficiency:

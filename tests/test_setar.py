@@ -236,6 +236,18 @@ class TestMcForecastSetar:
         with pytest.raises(ValueError, match="invalid fit"):
             mc_forecast_setar(replace(fit, **{field: value}), y, H=3, M=10)
 
+    @pytest.mark.parametrize("pos, rejected", [(-2, True), (-4, False)],
+                             ids=["inside-last-p", "before-last-p"])
+    def test_non_finite_history(self, pos, rejected):
+        fit, y = self.fit_once()  # SETAR(2,3,3) conditions on y[-3:]
+        y = y.copy()
+        y[pos] = np.nan
+        if rejected:
+            with pytest.raises(ValueError, match="history"):
+                mc_forecast_setar(fit, y, H=3, M=10)
+        else:
+            assert np.isfinite(mc_forecast_setar(fit, y, H=3, M=10).means).all()
+
     def test_bad_horizon_rejected(self):
         fit, y = self.fit_once()
         with pytest.raises(ValueError):
