@@ -23,7 +23,9 @@ import numpy as np
 
 from . import model as sdar_model
 from .model import PARAM_NAMES, SdarParams
-from .persistence import PersistenceKind, PersistenceParams, _grad_stack, _log_y2, _parts
+from .persistence import (
+    PersistenceKind, PersistenceParams, _check_kind, _grad_stack, _log_y2, _parts,
+)
 from .series import TimeSeries
 
 _GTOL_REL = 1e-6
@@ -58,6 +60,7 @@ class ParamBox:
 
     @classmethod
     def default(cls, kind: PersistenceKind) -> "ParamBox":
+        _check_kind(kind)
         g0_lo = 1.0 + 1e-6 if kind is PersistenceKind.M2 else -2.0
         return cls(
             lower=np.array([-10.0, g0_lo, 0.0, 1e-3, 1e-4]),
@@ -147,9 +150,8 @@ def sandwich_cov(
     if len(series) < 6:
         raise ValueError("series too short for covariance estimation")
     scores = sdar_model._per_obs_score(params, series)
-    hess_t = sdar_model._per_obs_hess(params, series)
     n = scores.shape[1]
-    h_bar = hess_t.sum(axis=2) / n
+    h_bar = sdar_model.loglik_hess(params, series) / n
     g = (scores @ scores.T) / n
     g = 0.5 * (g + g.T)
     if np.linalg.cond(h_bar) > _COND_LIMIT:

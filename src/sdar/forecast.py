@@ -22,6 +22,7 @@ from .persistence import psi
 from .series import TimeSeries
 
 METRIC_NAMES = ("mafe", "msfe", "mape")
+QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)  # default fan levels
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,13 @@ def _summarize(paths: np.ndarray, seed: int, quantile_probs) -> ForecastResult:
     )
 
 
+def _normals(M: int, H: int):
+    """Check H and M; return seed -> the (M, H) standard normals of ``default_rng(seed)``."""
+    if H < 1 or M < 1:
+        raise ValueError("H and M must be >= 1")
+    return lambda seed: np.random.default_rng(seed).standard_normal((M, H))
+
+
 def sdar_paths(fit, y_n: float, z: np.ndarray) -> np.ndarray:
     """The (M, H) SDAR paths from last observation y_n.
 
@@ -105,7 +113,7 @@ def mc_forecast_sdar(
     H: int,
     M: int = 10_000,
     seed: int = 0,
-    quantile_probs=(0.05, 0.25, 0.5, 0.75, 0.95),
+    quantile_probs=QUANTILE_PROBS,
 ) -> ForecastResult:
     """Monte-Carlo forecast of an SDAR model from last observation y_n.
 
@@ -114,9 +122,7 @@ def mc_forecast_sdar(
     the result is deterministic given (fit, y_n, H, M, seed) and
     independent of path evaluation order.
     """
-    if H < 1 or M < 1:
-        raise ValueError("H and M must be >= 1")
-    z = np.random.default_rng(seed).standard_normal((M, H))
+    z = _normals(M, H)(seed)  # lives until return: bench/probe.py's rescaling follows heap state
     return _summarize(sdar_paths(fit, y_n, z), seed, quantile_probs)
 
 
@@ -167,10 +173,8 @@ def rolling_evaluate(
 
     Returns one `AccuracyReport` per forecaster, in order.
     """
-    train = series_train.values
-    test = series_test.values
-    if H < 1 or M < 1:
-        raise ValueError("H and M must be >= 1")
+    train, test = series_train.values, series_test.values
+    draw = _normals(M, H)
     if mode not in ("single-origin", "rolling-origin"):
         raise ValueError(f"unknown mode {mode!r}")
     if test.size < H:
@@ -184,7 +188,7 @@ def rolling_evaluate(
         history = np.concatenate([train, test[:o]])
         actual = test[o : o + H]
         nz = actual != 0.0
-        z = np.random.default_rng(seed + o).standard_normal((M, H))
+        z = draw(seed + o)
         z.flags.writeable = False
         for k, forecaster in enumerate(forecasters):
             one = evaluate_forecasts(actual, forecaster(history, z))

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .persistence import (
-    PersistenceKind, PersistenceParams, _grad_stack, _hess_stack, _log_y2, _parts, psi,
-)
+from .persistence import PersistenceKind, PersistenceParams, _grad_stack, _hess_stack, _pieces, psi
 from .series import TimeSeries
 
 PARAM_NAMES = ("alpha", "gamma0", "gamma1", "r", "sigma")
@@ -119,12 +117,11 @@ def _gaussian_loglik(xi, s):
 
 
 def _terms(params, series):
-    """Lags, innovations, psi gradient stack (3, n-1) and psi pieces (w, psi, ln y^2)."""
-    lag, pf = _lag(series), params.pf
-    w, ps = _parts(params.kind, lag, pf)
-    lg = _log_y2(lag)
-    xi = _innovations(params, series, ps)
-    return lag, xi, _grad_stack(params.kind, w, ps, lg, pf.gamma1), (w, ps, lg)
+    """Lags, innovations, psi gradient stack (3, n-1) and psi pieces (w, psi, ln y^2, gamma1)."""
+    lag = _lag(series)
+    pieces = _pieces(params.kind, lag, params.pf)
+    xi = _innovations(params, series, pieces[1])
+    return lag, xi, _grad_stack(params.kind, *pieces), pieces
 
 
 def loglik_grad(params: SdarParams, series: TimeSeries) -> np.ndarray:
@@ -139,12 +136,6 @@ def loglik_grad(params: SdarParams, series: TimeSeries) -> np.ndarray:
     return g
 
 
-def loglik_hess(params: SdarParams, series: TimeSeries) -> np.ndarray:
-    """Analytic 5x5 Hessian of the total log-likelihood in theta order."""
-    per_t = _per_obs_hess(params, series)
-    return per_t.sum(axis=2)
-
-
 def _per_obs_score(params, series):
     """Per-observation score vectors, shape (5, n-1)."""
     lag, xi, pg, _ = _terms(params, series)
@@ -157,19 +148,17 @@ def _per_obs_score(params, series):
     return out
 
 
-def _per_obs_hess(params, series):
-    """Per-observation Hessian contributions, shape (5, 5, n-1)."""
+def loglik_hess(params: SdarParams, series: TimeSeries) -> np.ndarray:
+    """Analytic 5x5 Hessian of the total log-likelihood in theta order."""
     lag, xi, pg, pieces = _terms(params, series)
     s = params.sigma
     s2, s3, s4 = s * s, s**3, s**4
-    ph = _hess_stack(params.kind, *pieces, params.pf.gamma1)  # (3, 3, n-1)
+    ph = _hess_stack(params.kind, *pieces)  # (3, 3, n-1)
     h = np.empty((5, 5, lag.size))
     h[0, 0] = -1.0 / s2
     h[0, 1:4] = h[1:4, 0] = -lag * pg / s2
     h[0, 4] = h[4, 0] = -2.0 * xi / s3
-    h[1:4, 1:4] = (
-        xi * lag * ph - lag**2 * pg[:, None, :] * pg[None, :, :]
-    ) / s2
+    h[1:4, 1:4] = (xi * lag * ph - lag**2 * pg[:, None, :] * pg[None, :, :]) / s2
     h[1:4, 4] = h[4, 1:4] = -2.0 * xi * lag * pg / s3
     h[4, 4] = 1.0 / s2 - 3.0 * xi * xi / s4
-    return h
+    return h.sum(axis=2)

@@ -7,6 +7,9 @@ Two specifications of the state-dependent autoregressive coefficient:
 
 Both are even in y; y^(2r) is interpreted as |y|^(2r) so the functions
 are well defined for negative states (log-volatility data are negative).
+Both are psi = g(u) with u = gamma0 + gamma1 * |y|^(2r), g(u) = exp(-u)
+or 1/u, so every derivative in y or (gamma0, gamma1, r) comes from one
+chain rule in which the form enters only through -g'(u) and g''(u).
 
 The stationarity condition requires sup_y |psi(y)| + |y * psi'(y)| < 1.
 The supremum has a closed form: for r > 1/2 the maximum is interior,
@@ -39,6 +42,7 @@ class PersistenceParams:
     r: float
 
     def validate(self, kind: PersistenceKind) -> None:
+        _check_kind(kind)
         if not (self.gamma1 >= 0.0 and np.isfinite(self.gamma1)):
             raise ValueError(f"gamma1 must be >= 0, got {self.gamma1}")
         if not (self.r > 0.0 and np.isfinite(self.r)):
@@ -60,6 +64,11 @@ class AssumptionReport:
     grid_max_location: float
 
 
+def _check_kind(kind) -> None:
+    if not isinstance(kind, PersistenceKind):
+        raise ValueError(f"kind must be a PersistenceKind, got {kind!r}")
+
+
 def _log_y2(y):
     """ln(y^2) with a placeholder 0 at y = 0 (always multiplied by |y|^(2r))."""
     ay = np.atleast_1d(np.abs(np.asarray(y, dtype=float)))
@@ -70,11 +79,39 @@ def _log_y2(y):
 
 
 def _parts(kind, y, p):
-    """w = |y|^(2r) (0 at y = 0) and psi(y), without validating ``p``."""
+    """w = |y|^(2r) (0 at y = 0) and psi(y) = g(gamma0 + gamma1 * w), without validating ``p``."""
     w = np.abs(y) ** (2.0 * p.r)
     if kind is PersistenceKind.M1:
         return w, np.exp(-(p.gamma0 + p.gamma1 * w))
     return w, 1.0 / (p.gamma0 + p.gamma1 * w)
+
+
+def _pieces(kind, y, p):
+    """(w, psi(y), ln(y^2), gamma1): the arguments of the psi stacks after ``kind``."""
+    return (*_parts(kind, y, p), _log_y2(y), p.gamma1)
+
+
+def _neg_dg(kind, ps):
+    """-g'(u) from psi = g(u): psi for M1 (g = exp(-u)), psi^2 for M2 (g = 1/u)."""
+    return ps if kind is PersistenceKind.M1 else ps**2
+
+
+def _d2g(kind, ps):
+    """(k, q, c) with g''(u) = k * q and g''(u) / -g'(u) = k * c.
+
+    c is written out, not divided, so it is finite where psi is 0. k goes first
+    in each entry, so k * w**2 * q rounds and overflows like 2 * w**2 * psi**3.
+    """
+    return (1.0, ps, 1.0) if kind is PersistenceKind.M1 else (2.0, ps**3, ps)
+
+
+def _lifted(kind, y, p, stack):
+    """Validate, apply ``stack`` to y as a 1-d array, and drop that axis again for scalar y."""
+    p.validate(kind)
+    out = stack(np.atleast_1d(np.asarray(y, dtype=float)))
+    if np.asarray(y).ndim:
+        return out
+    return out[..., 0] if out.ndim > 1 else float(out[0])
 
 
 def psi(kind: PersistenceKind, y, p: PersistenceParams):
@@ -85,7 +122,7 @@ def psi(kind: PersistenceKind, y, p: PersistenceParams):
 
 
 def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
-    """d psi / dy.
+    """d psi / dy = g'(u) * gamma1 * d|y|^(2r)/dy.
 
     At y = 0 with 2r < 1 the derivative of |y|^(2r) is singular; the
     value returned there is 0, the limit of the product y * psi'(y)
@@ -93,23 +130,20 @@ def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
     flag should test ``2 * p.r < 1 and y == 0`` themselves; every
     internal consumer only uses y * psi'(y), whose limit at 0 is 0.
     """
-    p.validate(kind)
-    scalar = np.asarray(y).ndim == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    ay = np.abs(y)
-    # sign(y) * |y|^(2r-1), with the y=0 limit convention 0.
-    dw = np.zeros_like(ay)
-    nz = ay > 0
-    dw[nz] = 2.0 * p.r * np.sign(y[nz]) * ay[nz] ** (2.0 * p.r - 1.0)
-    _, ps = _parts(kind, y, p)
-    out = -p.gamma1 * dw * (ps if kind is PersistenceKind.M1 else ps**2)
-    return float(out[0]) if scalar else out
+
+    def stack(y):
+        # sign(y) * |y|^(2r-1), with the y=0 limit convention 0.
+        dw, nz = np.zeros_like(y), np.abs(y) > 0
+        dw[nz] = 2.0 * p.r * np.sign(y[nz]) * np.abs(y[nz]) ** (2.0 * p.r - 1.0)
+        return -p.gamma1 * dw * _neg_dg(kind, _parts(kind, y, p)[1])
+
+    return _lifted(kind, y, p, stack)
 
 
 def _grad_stack(kind, w, ps, lg, gamma1):
-    """The psi gradient stack from w = |y|^(2r), psi(y) and lg = ln(y^2)."""
-    base = ps if kind is PersistenceKind.M1 else ps**2
-    return np.stack([-base, -w * base, -gamma1 * w * lg * base])
+    """The psi gradient stack g'(u) * du, du = (1, w, gamma1 * w * lg), lg = ln(y^2)."""
+    b1 = _neg_dg(kind, ps)
+    return np.stack([-b1, -w * b1, -gamma1 * w * lg * b1])
 
 
 def psi_grad(kind: PersistenceKind, y, p: PersistenceParams):
@@ -119,48 +153,35 @@ def psi_grad(kind: PersistenceKind, y, p: PersistenceParams):
     (its limit). For scalar y returns a length-3 array; for array y an
     array of shape (3, len(y)).
     """
-    p.validate(kind)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    w, ps = _parts(kind, y_arr, p)
-    g = _grad_stack(kind, w, ps, _log_y2(y_arr), p.gamma1)
-    return g[:, 0] if np.asarray(y).ndim == 0 else g
+    return _lifted(kind, y, p, lambda y: _grad_stack(kind, *_pieces(kind, y, p)))
 
 
 def psi_hess(kind: PersistenceKind, y, p: PersistenceParams):
     """Symmetric 3x3 Hessian of psi in (gamma0, gamma1, r).
 
-    Derived directly from the functional forms (the published M2
-    second-derivative list contains slips; these entries are re-derived
-    and validated against finite differences). For array y the shape is
-    (3, 3, len(y)).
+    The chain rule g''(u) du du' - g'(u) d2u of `_hess_stack` gives
+    both forms (the published M2 second-derivative list contains slips;
+    this one is validated against finite differences). For array y the
+    shape is (3, 3, len(y)).
     """
-    p.validate(kind)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    w, ps = _parts(kind, y_arr, p)
-    h = _hess_stack(kind, w, ps, _log_y2(y_arr), p.gamma1)
-    return h[:, :, 0] if np.asarray(y).ndim == 0 else h
+    return _lifted(kind, y, p, lambda y: _hess_stack(kind, *_pieces(kind, y, p)))
 
 
 def _hess_stack(kind, w, ps, lg, g1):
-    """The psi Hessian stack (3, 3, n) from w = |y|^(2r), psi(y) and lg = ln(y^2)."""
+    """The psi Hessian stack (3, 3, n) from w = |y|^(2r), psi(y) and lg = ln(y^2).
+
+    h = g''(u) du du' - g'(u) d2u with du = (1, w, g1 * w * lg). d2u is w * lg at
+    (gamma1, r) and g1 * w * lg^2 at (r, r); both entries are d2u * -g'(u) * (k g1 w c - 1).
+    """
+    b1, (k, q, c) = _neg_dg(kind, ps), _d2g(kind, ps)
+    curv = k * g1 * w * c - 1.0
     h = np.empty((3, 3, w.size))
-    if kind is PersistenceKind.M1:
-        h[0, 0] = ps
-        h[0, 1] = w * ps
-        h[0, 2] = g1 * w * lg * ps
-        h[1, 1] = w**2 * ps
-        h[1, 2] = w * lg * ps * (g1 * w - 1.0)
-        h[2, 2] = g1 * w * lg**2 * ps * (g1 * w - 1.0)
-    else:
-        h[0, 0] = 2.0 * ps**3
-        h[0, 1] = 2.0 * w * ps**3
-        h[0, 2] = 2.0 * g1 * w * lg * ps**3
-        h[1, 1] = 2.0 * w**2 * ps**3
-        h[1, 2] = w * lg * ps**2 * (2.0 * g1 * w * ps - 1.0)
-        h[2, 2] = g1 * w * lg**2 * ps**2 * (2.0 * g1 * w * ps - 1.0)
-    h[1, 0] = h[0, 1]
-    h[2, 0] = h[0, 2]
-    h[2, 1] = h[1, 2]
+    h[0, 0] = k * q
+    h[0, 1] = h[1, 0] = k * w * q
+    h[0, 2] = h[2, 0] = k * g1 * w * lg * q
+    h[1, 1] = k * w**2 * q
+    h[1, 2] = h[2, 1] = w * lg * b1 * curv
+    h[2, 2] = g1 * w * lg**2 * b1 * curv
     return h
 
 
@@ -173,14 +194,11 @@ def a1_bound_closed_form(kind: PersistenceKind, p: PersistenceParams) -> float:
     sits at y = 0 and equals psi(0).
     """
     p.validate(kind)
-    if kind is PersistenceKind.M1:
-        at_zero = math.exp(-p.gamma0)
-        if p.gamma1 == 0.0 or p.r <= 0.5:
-            return at_zero
-        return 2.0 * p.r * math.exp(-(2.0 * p.r * p.gamma0 + 2.0 * p.r - 1.0) / (2.0 * p.r))
-    at_zero = 1.0 / p.gamma0
+    m1 = kind is PersistenceKind.M1
     if p.gamma1 == 0.0 or p.r <= 0.5:
-        return at_zero
+        return math.exp(-p.gamma0) if m1 else 1.0 / p.gamma0
+    if m1:
+        return 2.0 * p.r * math.exp(-(2.0 * p.r * p.gamma0 + 2.0 * p.r - 1.0) / (2.0 * p.r))
     return (1.0 + 2.0 * p.r) ** 2 / (8.0 * p.r * p.gamma0)
 
 
@@ -203,14 +221,8 @@ def _default_y_max(p: PersistenceParams) -> float:
     return max(10.0 * scale, 10.0)
 
 
-def _a1_objective(kind, y, p):
-    return np.abs(np.asarray(psi(kind, y, p))) + np.abs(y * np.asarray(psi_dy(kind, y, p)))
-
-
 def a1_bound_numeric(
-    kind: PersistenceKind,
-    p: PersistenceParams,
-    grid_points: int = 100_000,
+    kind: PersistenceKind, p: PersistenceParams, grid_points: int = 100_000
 ) -> float:
     """Grid maximum of |psi| + |y psi'| on a symmetric log-dense grid."""
     return _a1_grid_max(kind, p, grid_points)[1]
@@ -222,7 +234,7 @@ def _a1_grid_max(kind, p, grid_points=100_000):
         raise ValueError("grid_points must be >= 1000")
     half = np.geomspace(1e-12, _default_y_max(p), grid_points // 2)
     grid = np.concatenate([-half[::-1], [0.0], half])
-    vals = _a1_objective(kind, grid, p)
+    vals = np.abs(psi(kind, grid, p)) + np.abs(grid * psi_dy(kind, grid, p))
     k = int(np.argmax(vals))
     return float(grid[k]), float(vals[k])
 
@@ -236,8 +248,7 @@ def check_assumptions(kind: PersistenceKind, p: PersistenceParams) -> Assumption
     psi(y)*y is linear, hence unbounded; the report flags a2 false but
     estimation remains legitimate in that sub-case.
     """
-    p.validate(kind)
-    closed = a1_bound_closed_form(kind, p)
+    closed = a1_bound_closed_form(kind, p)  # validates kind and p
     loc, numeric = _a1_grid_max(kind, p)
     a2 = p.gamma1 > 0.0 and (kind is PersistenceKind.M1 or p.r >= 0.5)
     return AssumptionReport(

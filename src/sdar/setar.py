@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecast import ForecastResult, _summarize
+from .estimation import aic, select_model
+from .forecast import QUANTILE_PROBS, ForecastResult, _normals, _summarize
 from .series import TimeSeries
 
 
@@ -140,7 +141,6 @@ def fit_setar(
     sigma1 = float(np.sqrt(max(ssr1, 0.0) / n1))
     sigma2 = float(np.sqrt(max(ssr2, 0.0) / n2))
     ll = _gaussian_loglik(n1, sigma1) + _gaussian_loglik(n2, sigma2)
-    k_params = d1 + d2 + 4  # two intercepts, AR coefficients, two sigmas
     return SetarFit(
         c1=float(beta1[0]),
         phi1=beta1[1:].copy(),
@@ -152,7 +152,7 @@ def fit_setar(
         d1=d1,
         d2=d2,
         prop_low=n1 / rows,
-        aic=2.0 * k_params - 2.0 * ll,
+        aic=aic(ll, d1 + d2 + 4),  # two intercepts, AR coefficients, two sigmas
         n_obs=rows,
         loglik=ll,
     )
@@ -188,13 +188,9 @@ def select_setar(
     """Best-AIC SETAR fit over lag orders d1, d2 in 1..max_lag."""
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    best = None
-    for d1 in range(1, max_lag + 1):
-        for d2 in range(1, max_lag + 1):
-            fit = fit_setar(series, d1, d2, trim)
-            if best is None or fit.aic < best.aic:
-                best = fit
-    return best
+    lags = range(1, max_lag + 1)
+    fits = [fit_setar(series, d1, d2, trim) for d1 in lags for d2 in lags]
+    return fits[select_model(fits)]
 
 
 def setar_paths(fit: SetarFit, history, z: np.ndarray) -> np.ndarray:
@@ -238,13 +234,11 @@ def mc_forecast_setar(
     H: int,
     M: int,
     seed: int = 0,
-    quantile_probs=(0.05, 0.25, 0.5, 0.75, 0.95),
+    quantile_probs=QUANTILE_PROBS,
 ) -> ForecastResult:
     """Monte-Carlo multi-step SETAR forecast from the last observed values.
 
     The paths are `setar_paths` driven by one seeded (M, H) draw.
     """
-    if H < 1 or M < 1:
-        raise ValueError("H and M must be >= 1")
-    z = np.random.default_rng(seed).standard_normal((M, H))
+    z = _normals(M, H)(seed)  # lives until return: bench/probe.py's rescaling follows heap state
     return _summarize(setar_paths(fit, history, z), seed, quantile_probs)

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from sdar import (
+    ParamBox,
     PersistenceKind,
     PersistenceParams,
+    SdarParams,
     a1_bound_closed_form,
     a1_bound_numeric,
     check_assumptions,
+    fit,
     psi,
     psi_dy,
     psi_grad,
     psi_hess,
+    simulate,
 )
+
+from conftest import m1_truth
 
 M1, M2 = PersistenceKind.M1, PersistenceKind.M2
 
@@ -173,6 +179,87 @@ class TestPsiHess:
                 np.testing.assert_allclose(
                     hess[:, j], fd, rtol=1e-4, atol=1e-10
                 )
+
+
+def per_form_hessian(kind, y, p):
+    """psi's Hessian written out entry by entry for each form, as two blocks."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    w = np.abs(y) ** (2.0 * p.r)
+    lg = np.zeros_like(y)
+    lg[y != 0] = 2.0 * np.log(np.abs(y[y != 0]))
+    g1 = p.gamma1
+    h = np.empty((3, 3, y.size))
+    if kind is M1:
+        ps = np.exp(-(p.gamma0 + g1 * w))
+        h[0, 0] = ps
+        h[0, 1] = w * ps
+        h[0, 2] = g1 * w * lg * ps
+        h[1, 1] = w**2 * ps
+        h[1, 2] = w * lg * ps * (g1 * w - 1.0)
+        h[2, 2] = g1 * w * lg**2 * ps * (g1 * w - 1.0)
+    else:
+        ps = 1.0 / (p.gamma0 + g1 * w)
+        h[0, 0] = 2.0 * ps**3
+        h[0, 1] = 2.0 * w * ps**3
+        h[0, 2] = 2.0 * g1 * w * lg * ps**3
+        h[1, 1] = 2.0 * w**2 * ps**3
+        h[1, 2] = w * lg * ps**2 * (2.0 * g1 * w * ps - 1.0)
+        h[2, 2] = g1 * w * lg**2 * ps**2 * (2.0 * g1 * w * ps - 1.0)
+    h[1, 0], h[2, 0], h[2, 1] = h[0, 1], h[0, 2], h[1, 2]
+    return h
+
+
+class TestChainRuleHessian:
+    """The one chain-rule Hessian equals both per-form blocks bit for bit."""
+
+    CASES = [
+        (M1, PersistenceParams(0.4, 0.07, 0.32)),
+        (M1, PersistenceParams(-1.5, 1.3, 1.7)),
+        (M1, PersistenceParams(0.4, 0.0, 0.8)),  # gamma1 = 0
+        (M1, PersistenceParams(0.4, 1.0, 1.0)),  # psi underflows to 0 for |y| >~ 27
+        (M1, PersistenceParams(800.0, 0.3, 0.6)),  # psi is 0 everywhere
+        (M2, PersistenceParams(1.18, 0.08, 0.56)),
+        (M2, PersistenceParams(2.5, 1.7, 1.9)),
+        (M2, PersistenceParams(1.5, 0.0, 0.3)),  # gamma1 = 0
+    ]
+
+    @pytest.mark.parametrize("kind, p", CASES)
+    def test_equals_per_form_blocks(self, kind, p):
+        rng = np.random.default_rng(7)
+        y = np.concatenate([rng.normal(0.0, 3.0, 400), [0.0, -0.0, 1e-8, 30.0, -45.0, 60.0]])
+        expected = per_form_hessian(kind, y, p)
+        assert np.isfinite(expected).all()
+        assert np.array_equal(psi_hess(kind, y, p), expected)
+        for i in (0, 400, 404):  # the scalar path gives the same entries
+            assert np.array_equal(psi_hess(kind, float(y[i]), p), expected[:, :, i])
+
+    def test_underflow_case_has_zero_psi(self):
+        assert psi(M1, 45.0, PersistenceParams(0.4, 1.0, 1.0)) == 0.0
+        assert psi(M1, 1.0, PersistenceParams(800.0, 0.3, 0.6)) == 0.0
+
+
+_PF = PersistenceParams(1.4, 0.07, 0.32)  # valid for both kinds
+
+KIND_CALLS = {
+    "psi": lambda k: psi(k, 1.0, _PF),
+    "psi_dy": lambda k: psi_dy(k, 1.0, _PF),
+    "psi_grad": lambda k: psi_grad(k, 1.0, _PF),
+    "psi_hess": lambda k: psi_hess(k, 1.0, _PF),
+    "a1_bound_closed_form": lambda k: a1_bound_closed_form(k, _PF),
+    "check_assumptions": lambda k: check_assumptions(k, _PF),
+    "SdarParams": lambda k: SdarParams(-1.5, _PF, 0.5, k),
+    "ParamBox.default": lambda k: ParamBox.default(k),
+    "fit": lambda k: fit(simulate(m1_truth(), 60, seed=3), k, n_starts=1),
+}
+
+
+@pytest.mark.parametrize("name", list(KIND_CALLS))
+def test_string_kind_rejected(name):
+    """A kind given as its string value is an error, not a silent M2."""
+    call = KIND_CALLS[name]
+    call(M1)
+    with pytest.raises(ValueError, match="kind must be a PersistenceKind, got 'M1'"):
+        call("M1")
 
 
 class TestBounds:
