@@ -2,9 +2,12 @@
 
 Subcommands: ingest, fit-sdar, fit-setar, forecast, compare, check.
 Every command but check writes its outputs plus a run-manifest JSON
-(config echo, seed, package version) into the output directory; check
-only prints. Each run is a pure function of its input files, flags and
-seed.
+(flag echo, package version) into --out; check only prints and takes
+no --out. Each run is a pure function of its input files and flags;
+--seed exists only where it changes the output (fit-sdar, forecast,
+compare). Each flag is declared once and each subcommand lists the
+flags it reads. --config supplies defaults only, so the required flags
+(--input, forecast --fit, compare --n-train) go on the command line.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence,
 3 assumption failure (check only).
@@ -22,6 +25,7 @@ import numpy as np
 from . import __version__
 from .estimation import FitResult, fit, select_model
 from .forecast import (
+    horizon_csv,
     mc_forecast_sdar,
     relative_efficiency,
     relative_efficiency_csv,
@@ -39,10 +43,49 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_ASSUMPTION = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--out", help="output directory", default=".")
-    p.add_argument("--seed", type=int, default=0)
+# Each flag, declared once with one default; a subcommand lists the flags it reads.
+_FLAGS = {
+    "--input": dict(required=True, help="input CSV (returns, or a series such as log volatility)"),
+    "--column": dict(help="column name or 0-based index (default: the last column)"),
+    "--week-len": dict(type=int, default=5),
+    "--n-train": dict(type=int, help="use only the first N observations"),
+    "--kind": dict(choices=["M1", "M2", "both"], default="both"),
+    "--n-starts": dict(type=int, default=16),
+    "--max-lag": dict(type=int, default=4),
+    "--trim": dict(type=float, default=0.15),
+    "--horizon": dict(type=int, default=20),
+    "--mc": dict(type=int, default=10_000),
+    "--mode": dict(choices=["single-origin", "rolling-origin"], default="single-origin"),
+    "--gamma0": dict(type=float),
+    "--gamma1": dict(type=float),
+    "--r": dict(type=float),
+    "--config": dict(help="JSON config file; explicit flags override it"),
+    "--out": dict(default=".", help="output directory"),
+    "--seed": dict(type=int, default=0),
+}
+
+# The flags whose meaning differs between subcommands, by (subcommand, flag).
+_OWN_FLAGS = {
+    ("forecast", "--fit"): dict(required=True, help="fit JSON (SDAR or SETAR)"),
+    ("check", "--fit"): dict(help="SDAR fit JSON to check"),
+    ("compare", "--n-train"): dict(type=int, required=True),
+}
+
+_SUBCOMMANDS = {
+    "ingest": ("returns CSV -> weekly (log) realized volatility",
+               "--input --column --week-len --config --out"),
+    "fit-sdar": ("QML fit of the SDAR model",
+                 "--input --column --n-train --kind --n-starts --config --out --seed"),
+    "fit-setar": ("conditional-least-squares SETAR fit",
+                  "--input --column --n-train --max-lag --trim --config --out"),
+    "forecast": ("Monte-Carlo forecast from a saved fit",
+                 "--input --column --fit --horizon --mc --config --out --seed"),
+    "compare": ("SDAR vs SETAR forecast-accuracy comparison",
+                "--input --column --n-train --kind --n-starts --max-lag --trim "
+                "--horizon --mc --mode --config --out --seed"),
+    "check": ("stationarity/ergodicity assumption check",
+              "--kind --fit --gamma0 --gamma1 --r --config"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,58 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sdar", description="State-dependent AR modelling toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="returns CSV -> weekly (log) realized volatility")
-    p.add_argument("--input", required=True)
-    p.add_argument("--column", default=None)
-    p.add_argument("--week-len", type=int, default=5)
-    _add_common(p)
-
-    p = sub.add_parser("fit-sdar", help="QML fit of the SDAR model")
-    p.add_argument("--input", required=True, help="series CSV (e.g. log volatility)")
-    p.add_argument("--column", default=None)
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--kind", choices=["M1", "M2", "both"], default="both")
-    p.add_argument("--n-starts", type=int, default=16)
-    _add_common(p)
-
-    p = sub.add_parser("fit-setar", help="conditional-least-squares SETAR fit")
-    p.add_argument("--input", required=True)
-    p.add_argument("--column", default=None)
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--max-lag", type=int, default=4)
-    p.add_argument("--trim", type=float, default=0.15)
-    _add_common(p)
-
-    p = sub.add_parser("forecast", help="Monte-Carlo forecast from a saved fit")
-    p.add_argument("--input", required=True)
-    p.add_argument("--column", default=None)
-    p.add_argument("--fit", required=True, help="fit JSON (SDAR or SETAR)")
-    p.add_argument("--horizon", type=int, default=20)
-    p.add_argument("--mc", type=int, default=10_000)
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="SDAR vs SETAR forecast-accuracy comparison")
-    p.add_argument("--input", required=True)
-    p.add_argument("--column", default=None)
-    p.add_argument("--n-train", type=int, required=True)
-    p.add_argument("--kind", choices=["M1", "M2", "both"], default="both")
-    p.add_argument("--n-starts", type=int, default=16)
-    p.add_argument("--max-lag", type=int, default=4)
-    p.add_argument("--trim", type=float, default=0.15)
-    p.add_argument("--horizon", type=int, default=20)
-    p.add_argument("--mc", type=int, default=10_000)
-    p.add_argument("--mode", choices=["single-origin", "rolling-origin"],
-                   default="single-origin")
-    _add_common(p)
-
-    p = sub.add_parser("check", help="stationarity/ergodicity assumption check")
-    p.add_argument("--kind", choices=["M1", "M2"], default="M1")
-    p.add_argument("--fit", help="SDAR fit JSON to check")
-    p.add_argument("--gamma0", type=float)
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--r", type=float)
-    _add_common(p)
+    for command, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags.split():  # a fresh Action each: _apply_config rewrites defaults
+            p.add_argument(flag, **_OWN_FLAGS.get((command, flag)) or _FLAGS[flag])
+    sub.choices["check"].set_defaults(kind="M1")  # the one kind checked without --fit
     return parser
 
 
@@ -232,17 +228,6 @@ def _load_fit(path: str):
         raise IngestError(f"{path}: invalid fit JSON ({type(exc).__name__}: {exc})") from None
 
 
-def _forecast_csv(fc) -> str:
-    probs = sorted(fc.quantiles)
-    header = "h,mean," + ",".join(f"q{p:g}" for p in probs)
-    lines = [header]
-    for h in range(fc.horizon):
-        row = [str(h + 1), f"{fc.means[h]:.10g}"]
-        row += [f"{fc.quantiles[p][h]:.10g}" for p in probs]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_forecast(args) -> int:
     series = _load_series(args)
     loaded = _load_fit(args.fit)
@@ -252,7 +237,8 @@ def cmd_forecast(args) -> int:
     else:
         fc = mc_forecast_setar(loaded, series.values, args.horizon,
                                args.mc, args.seed)
-    out_dir = _write(args, {"forecast.csv": _forecast_csv(fc)})
+    quantiles = {f"q{p:g}": fc.quantiles[p] for p in sorted(fc.quantiles)}
+    out_dir = _write(args, {"forecast.csv": horizon_csv({"mean": fc.means, **quantiles})})
     print(f"wrote {args.horizon}-step forecast to {out_dir}")
     return EXIT_OK
 
@@ -296,17 +282,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
+    given = [f"--{name}" for name in ("gamma0", "gamma1", "r") if getattr(args, name) is not None]
     if args.fit:
+        if given:
+            raise IngestError(f"check takes --fit or {' '.join(given)}, not both")
         result = _load_fit(args.fit)
         if not isinstance(result, FitResult):
             raise IngestError("check requires an SDAR fit JSON")
         params: SdarParams = result.theta_hat
         kind, pf = params.kind, params.pf
     else:
-        if args.gamma0 is None or args.gamma1 is None or args.r is None:
-            raise IngestError(
-                "check needs either --fit or all of --gamma0 --gamma1 --r"
-            )
+        if len(given) < 3:
+            raise IngestError("check needs either --fit or all of --gamma0 --gamma1 --r")
         kind = PersistenceKind(args.kind)
         pf = PersistenceParams(args.gamma0, args.gamma1, args.r)
     report = check_assumptions(kind, pf)

@@ -12,7 +12,6 @@ SDAR).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,7 @@ class AccuracyReport:
         return self.mafe.size
 
     def to_csv(self) -> str:
-        return relative_efficiency_csv(np.array([self.mafe, self.msfe, self.mape]))
+        return horizon_csv({name: getattr(self, name) for name in METRIC_NAMES})
 
 
 def _empirical_quantiles(paths: np.ndarray, probs) -> dict[float, np.ndarray]:
@@ -223,10 +222,12 @@ def relative_efficiency(a: AccuracyReport, b: AccuracyReport) -> np.ndarray:
 
 def relative_efficiency_csv(re: np.ndarray) -> str:
     """Table-style CSV of a relative-efficiency array (rows = horizons)."""
-    buf = io.StringIO()
-    buf.write("h,mafe,msfe,mape\n")
-    for h in range(re.shape[1]):
-        buf.write(
-            f"{h + 1},{re[0, h]:.10g},{re[1, h]:.10g},{re[2, h]:.10g}\n"
-        )
-    return buf.getvalue()
+    return horizon_csv(dict(zip(METRIC_NAMES, re)))
+
+
+def horizon_csv(columns: dict[str, np.ndarray]) -> str:
+    """CSV with one row per horizon: ``h`` from 1, then each column as ``%.10g``."""
+    lines = [",".join(["h", *columns])]
+    for h, row in enumerate(zip(*columns.values()), start=1):
+        lines.append(",".join([str(h), *(f"{v:.10g}" for v in row)]))
+    return "\n".join(lines) + "\n"

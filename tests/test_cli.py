@@ -1,12 +1,15 @@
+import argparse
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sdar.cli
 from sdar import PersistenceKind, simulate
-from sdar.cli import main
+from sdar.cli import build_parser, main
 
 from conftest import gen_setar, m1_truth
 
@@ -393,9 +396,82 @@ class TestCheck:
         assert rc == 1
         assert "gamma1" in capsys.readouterr().err
 
+    def test_pipeline_config_kind_both(self, sdar_csv, tmp_path, capsys):
+        # fit-sdar's default kind, in a config shared by the whole pipeline
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "both", "seed": 3, "out": "x"}))
+        fit_dir = tmp_path / "f4"
+        main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M2",
+              "--out", str(fit_dir), "--n-starts", "2"])
+        rc = main(["check", "--fit", str(fit_dir / "fit_M2.json"), "--config", str(config)])
+        assert rc in (0, 3)
+        assert "kind: M2" in capsys.readouterr().out
+        rc = main(["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32",
+                   "--config", str(config)])
+        assert rc == 1
+        assert "'both' is not a valid PersistenceKind" in capsys.readouterr().err
+
+    def test_default_kind_is_m1(self, capsys):
+        assert main(["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32"]) == 0
+        assert "kind: M1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--gamma0", "--gamma1", "--r"])
+    def test_fit_with_parameter_flag_exit_1(self, sdar_csv, tmp_path, capsys, flag):
+        fit_dir = tmp_path / "f5"
+        main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M1",
+              "--out", str(fit_dir), "--n-starts", "2"])
+        capsys.readouterr()
+        rc = main(["check", "--fit", str(fit_dir / "fit_M1.json"), flag, "5"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: check takes --fit or {flag}, not both\n"
+
     def test_fit_json_not_an_object_exit_1(self, tmp_path, capsys):
         fit_path = tmp_path / "fit.json"
         fit_path.write_text("[1, 2]")
         rc = main(["check", "--fit", str(fit_path)])
         assert rc == 1
         assert f"error: {fit_path}: invalid fit JSON" in capsys.readouterr().err
+
+
+COMMON = {"--input", "--column", "--config", "--out"}
+EXPECTED_FLAGS = {
+    "ingest": COMMON | {"--week-len"},
+    "fit-sdar": COMMON | {"--n-train", "--kind", "--n-starts", "--seed"},
+    "fit-setar": COMMON | {"--n-train", "--max-lag", "--trim"},
+    "forecast": COMMON | {"--fit", "--horizon", "--mc", "--seed"},
+    "compare": COMMON | {"--n-train", "--kind", "--n-starts", "--max-lag", "--trim",
+                         "--horizon", "--mc", "--mode", "--seed"},
+    "check": {"--kind", "--fit", "--gamma0", "--gamma1", "--r", "--config"},
+}
+
+
+class TestFlagSurface:
+    def test_each_subcommand_reads_its_flags(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                 for name, p in sub.choices.items()}
+        assert flags == EXPECTED_FLAGS
+        assert sum(map(len, flags.values())) == 47
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--input", "{csv}", "--out", "{tmp}", "--seed", "1"],
+        ["fit-setar", "--input", "{csv}", "--out", "{tmp}", "--seed", "1"],
+        ["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32", "--seed", "1"],
+        ["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32", "--out", "{tmp}"],
+    ], ids=["ingest-seed", "fit-setar-seed", "check-seed", "check-out"])
+    def test_flag_that_would_do_nothing_exit_2(self, sdar_csv, tmp_path, capsys, argv):
+        argv = [a.format(csv=sdar_csv, tmp=tmp_path / "o") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.splitlines() if ln.startswith("sdar ")]
+        parser = build_parser()
+        commands = {parser.parse_args(shlex.split(ln)[1:]).command for ln in lines}
+        assert commands == set(EXPECTED_FLAGS)

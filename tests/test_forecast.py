@@ -20,7 +20,7 @@ from sdar import (
     setar_paths,
     simulate,
 )
-from sdar.forecast import _empirical_quantiles, relative_efficiency_csv
+from sdar.forecast import _empirical_quantiles, horizon_csv, relative_efficiency_csv
 
 from conftest import gen_setar, m1_truth
 
@@ -432,3 +432,8 @@ class TestRelativeEfficiency:
         assert lines[0] == "h,mafe,msfe,mape"
         assert lines[1] == "1,0.5,0.5,0.5"
         assert len(lines) == 3
+
+
+def test_horizon_csv_numbers_rows_from_one_in_ten_significant_digits():
+    text = horizon_csv({"mean": np.array([1.0, 1 / 3]), "q0.5": np.array([np.nan, -2e-7])})
+    assert text == "h,mean,q0.5\n1,1,nan\n2,0.3333333333,-2e-07\n"

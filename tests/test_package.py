@@ -40,7 +40,7 @@ import sdar
 assert not {SCIPY_LOADED}, "import sdar"
 from sdar.cli import main
 assert main(["check", "--kind", "M1", "--gamma0", "0.4", "--gamma1", "0.07",
-             "--r", "0.32", "--out", {str(tmp_path / 'check')!r}]) == 0
+             "--r", "0.32"]) == 0
 assert not {SCIPY_LOADED}, "check"
 assert main(["fit-setar", "--input", {str(series)!r}, "--max-lag", "2",
              "--out", {str(tmp_path / 'setar')!r}]) == 0
