@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for flag in flags.split():  # a fresh Action each: _apply_config rewrites defaults
             p.add_argument(flag, **_OWN_FLAGS.get((command, flag)) or _FLAGS[flag])
-    sub.choices["check"].set_defaults(kind="M1")  # the one kind checked without --fit
     return parser
 
 
@@ -237,7 +236,7 @@ def cmd_forecast(args) -> int:
     else:
         fc = mc_forecast_setar(loaded, series.values, args.horizon,
                                args.mc, args.seed)
-    quantiles = {f"q{p:g}": fc.quantiles[p] for p in sorted(fc.quantiles)}
+    quantiles = {f"q{p:g}": q for p, q in fc.quantiles.items()}  # ascending QUANTILE_PROBS
     out_dir = _write(args, {"forecast.csv": horizon_csv({"mean": fc.means, **quantiles})})
     print(f"wrote {args.horizon}-step forecast to {out_dir}")
     return EXIT_OK
@@ -291,9 +290,11 @@ def cmd_check(args) -> int:
             raise IngestError("check requires an SDAR fit JSON")
         params: SdarParams = result.theta_hat
         kind, pf = params.kind, params.pf
+        if args.kind not in ("both", kind.value):
+            raise IngestError(f"--kind {args.kind} disagrees with the {kind.value} fit {args.fit}")
     else:
-        if len(given) < 3:
-            raise IngestError("check needs either --fit or all of --gamma0 --gamma1 --r")
+        if len(given) < 3 or args.kind == "both":
+            raise IngestError("check needs --fit, or --kind M1|M2 and all of --gamma0 --gamma1 --r")
         kind = PersistenceKind(args.kind)
         pf = PersistenceParams(args.gamma0, args.gamma1, args.r)
     report = check_assumptions(kind, pf)

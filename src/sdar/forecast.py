@@ -21,7 +21,7 @@ from .persistence import psi
 from .series import TimeSeries
 
 METRIC_NAMES = ("mafe", "msfe", "mape")
-QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)  # default fan levels
+QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)  # the fan levels, ascending
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,10 @@ class ForecastResult:
     quantiles: dict[float, np.ndarray]
     M: int
     seed: int
-    path_std: np.ndarray | None = None
+    path_std: np.ndarray
 
     def mc_std_error(self) -> np.ndarray:
         """Monte-Carlo standard error of each per-horizon mean."""
-        if self.path_std is None:
-            raise ValueError("path dispersion not recorded for this forecast")
         return self.path_std / np.sqrt(self.M)
 
 
@@ -59,33 +57,24 @@ class AccuracyReport:
         return horizon_csv({name: getattr(self, name) for name in METRIC_NAMES})
 
 
-def _empirical_quantiles(paths: np.ndarray, probs) -> dict[float, np.ndarray]:
-    """Per-column empirical quantiles of ``paths`` in one ``np.quantile`` pass."""
-    probs = sorted(float(p) for p in probs)
-    if not probs:  # np.quantile would still partition the paths
-        return {}
-    qs = np.quantile(paths, probs, axis=0)
-    return dict(zip(probs, qs))
-
-
-def _summarize(paths: np.ndarray, seed: int, quantile_probs) -> ForecastResult:
-    """Fan summary of an (M, H) path array: means, quantiles, path std."""
+def _summarize(paths: np.ndarray, seed: int) -> ForecastResult:
+    """Fan summary of an (M, H) path array: means, `QUANTILE_PROBS` quantiles, path std."""
     M, H = paths.shape
     return ForecastResult(
         horizon=H,
         means=paths.mean(axis=0),
-        quantiles=_empirical_quantiles(paths, quantile_probs),
+        quantiles=dict(zip(QUANTILE_PROBS, np.quantile(paths, QUANTILE_PROBS, axis=0))),
         M=M,
         seed=seed,
         path_std=paths.std(axis=0, ddof=1) if M > 1 else np.zeros(H),
     )
 
 
-def _normals(M: int, H: int):
-    """Check H and M; return seed -> the (M, H) standard normals of ``default_rng(seed)``."""
+def _normals(M: int, H: int, seed: int) -> np.ndarray:
+    """The (M, H) standard normals of ``default_rng(seed)``; H and M must be >= 1."""
     if H < 1 or M < 1:
         raise ValueError("H and M must be >= 1")
-    return lambda seed: np.random.default_rng(seed).standard_normal((M, H))
+    return np.random.default_rng(seed).standard_normal((M, H))
 
 
 def sdar_paths(fit, y_n: float, z: np.ndarray) -> np.ndarray:
@@ -100,7 +89,7 @@ def sdar_paths(fit, y_n: float, z: np.ndarray) -> np.ndarray:
     paths = np.empty(z.shape)
     state = np.full(z.shape[0], float(y_n))
     for h in range(z.shape[1]):
-        ps = np.asarray(psi(params.kind, state, params.pf))
+        ps = psi(params.kind, state, params.pf)
         state = params.alpha + ps * state + z[:, h] * params.sigma
         paths[:, h] = state
     return paths
@@ -112,7 +101,6 @@ def mc_forecast_sdar(
     H: int,
     M: int = 10_000,
     seed: int = 0,
-    quantile_probs=QUANTILE_PROBS,
 ) -> ForecastResult:
     """Monte-Carlo forecast of an SDAR model from last observation y_n.
 
@@ -121,8 +109,15 @@ def mc_forecast_sdar(
     the result is deterministic given (fit, y_n, H, M, seed) and
     independent of path evaluation order.
     """
-    z = _normals(M, H)(seed)  # lives until return: bench/probe.py's rescaling follows heap state
-    return _summarize(sdar_paths(fit, y_n, z), seed, quantile_probs)
+    z = _normals(M, H, seed)  # lives until return: bench/probe.py's rescaling follows heap state
+    return _summarize(sdar_paths(fit, y_n, z), seed)
+
+
+def _errors(actuals: np.ndarray, means: np.ndarray):
+    """Absolute, squared and absolute percentage errors; the last is NaN at zero actuals."""
+    err = np.abs(actuals - means)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return err, err**2, np.where(actuals != 0.0, err / np.abs(actuals), np.nan)
 
 
 def evaluate_forecasts(actuals, forecast: ForecastResult | np.ndarray) -> AccuracyReport:
@@ -136,10 +131,7 @@ def evaluate_forecasts(actuals, forecast: ForecastResult | np.ndarray) -> Accura
     means = np.asarray(getattr(forecast, "means", forecast), dtype=float)
     if actuals.size != means.size:
         raise ValueError(f"need {means.size} actuals, got {actuals.size}")
-    err = np.abs(actuals - means)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mape = np.where(actuals != 0.0, err / np.abs(actuals), np.nan)
-    return AccuracyReport(mafe=err, msfe=err**2, mape=mape, n_origins=1)
+    return AccuracyReport(*_errors(actuals, means), n_origins=1)
 
 
 def rolling_evaluate(
@@ -173,32 +165,28 @@ def rolling_evaluate(
     Returns one `AccuracyReport` per forecaster, in order.
     """
     train, test = series_train.values, series_test.values
-    draw = _normals(M, H)
     if mode not in ("single-origin", "rolling-origin"):
         raise ValueError(f"unknown mode {mode!r}")
     if test.size < H:
         raise ValueError(f"test window shorter than horizon {H}")
     n_origins = 1 if mode == "single-origin" else test.size - H + 1
-    abs_err = np.zeros((len(forecasters), H))
-    sq_err = np.zeros_like(abs_err)
-    pct_err = np.zeros_like(abs_err)
-    pct_count = np.zeros(H)
+    means = []
     for o in range(n_origins):
-        history = np.concatenate([train, test[:o]])
-        actual = test[o : o + H]
-        nz = actual != 0.0
-        z = draw(seed + o)
+        z = _normals(M, H, seed + o)
         z.flags.writeable = False
-        for k, forecaster in enumerate(forecasters):
-            one = evaluate_forecasts(actual, forecaster(history, z))
-            abs_err[k] += one.mafe
-            sq_err[k] += one.msfe
-            pct_err[k, nz] += one.mape[nz]
-        pct_count += nz
+        history = np.concatenate([train, test[:o]])
+        means.append([forecaster(history, z) for forecaster in forecasters])
+    means = np.reshape(means, (n_origins, len(forecasters), H))  # raises unless each gives H
+    actual = np.lib.stride_tricks.sliding_window_view(test, H)[:n_origins, None]
+    nz = actual != 0.0
+    abs_err, sq_err, pct_err = _errors(actual, means)
+    # Running sums add the origins in order; np.sum may pair them instead.
+    total = np.add.accumulate([abs_err, sq_err, np.where(nz, pct_err, 0.0)], axis=1)[:, -1]
+    count = nz.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mape = np.where(pct_count > 0, pct_err / pct_count, np.nan)
-    return [AccuracyReport(a / n_origins, s / n_origins, m, n_origins)
-            for a, s, m in zip(abs_err, sq_err, mape)]
+        mape = np.where(count > 0, total[2] / count, np.nan)
+    mafe, msfe = total[:2] / n_origins
+    return [AccuracyReport(*row, n_origins) for row in zip(mafe, msfe, mape)]
 
 
 def relative_efficiency(a: AccuracyReport, b: AccuracyReport) -> np.ndarray:
@@ -211,13 +199,9 @@ def relative_efficiency(a: AccuracyReport, b: AccuracyReport) -> np.ndarray:
         raise ValueError("reports cover different horizons")
     if a.n_origins != b.n_origins:
         raise ValueError("reports aggregate different origin counts")
-    out = np.empty((3, a.horizon))
+    num, den = (np.array([getattr(r, name) for name in METRIC_NAMES]) for r in (a, b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, name in enumerate(METRIC_NAMES):
-            num = getattr(a, name)
-            den = getattr(b, name)
-            out[i] = np.where(den != 0.0, num / den, np.nan)
-    return out
+        return np.where(den != 0.0, num / den, np.nan)
 
 
 def relative_efficiency_csv(re: np.ndarray) -> str:

@@ -54,19 +54,19 @@ class SdarParams:
 
 
 def simulate(
-    params: SdarParams, n: int, seed: int, y0: float = 0.0
+    params: SdarParams, n: int, seed: int
 ) -> TimeSeries:
     """Simulate an SDAR path of length n from a seeded PCG64 stream.
 
-    Deterministic given (seed, params, n, y0); the default origin
-    y0 = 0 matches the model's initial condition.
+    Deterministic given (params, n, seed); the recursion starts at the
+    model's initial condition Y_0 = 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal(n) * params.sigma
     y = np.empty(n)
-    prev = float(y0)
+    prev = 0.0
     kind, pf, alpha = params.kind, params.pf, params.alpha
     g0, g1, r = pf.gamma0, pf.gamma1, pf.r
     m1 = kind is PersistenceKind.M1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import aic, select_model
-from .forecast import QUANTILE_PROBS, ForecastResult, _normals, _summarize
+from .forecast import ForecastResult, _normals, _summarize
 from .series import TimeSeries
 
 
@@ -234,11 +234,10 @@ def mc_forecast_setar(
     H: int,
     M: int,
     seed: int = 0,
-    quantile_probs=QUANTILE_PROBS,
 ) -> ForecastResult:
     """Monte-Carlo multi-step SETAR forecast from the last observed values.
 
     The paths are `setar_paths` driven by one seeded (M, H) draw.
     """
-    z = _normals(M, H)(seed)  # lives until return: bench/probe.py's rescaling follows heap state
-    return _summarize(setar_paths(fit, history, z), seed, quantile_probs)
+    z = _normals(M, H, seed)  # lives until return: bench/probe.py's rescaling follows heap state
+    return _summarize(setar_paths(fit, history, z), seed)

@@ -409,10 +409,30 @@ class TestCheck:
         rc = main(["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32",
                    "--config", str(config)])
         assert rc == 1
-        assert "'both' is not a valid PersistenceKind" in capsys.readouterr().err
+        assert "--kind M1|M2" in capsys.readouterr().err
 
-    def test_default_kind_is_m1(self, capsys):
-        assert main(["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32"]) == 0
+    def test_default_kind_is_the_fits(self, sdar_csv, tmp_path, capsys):
+        fit_dir = tmp_path / "f6"
+        main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M2",
+              "--out", str(fit_dir), "--n-starts", "2"])
+        capsys.readouterr()
+        assert main(["check", "--fit", str(fit_dir / "fit_M2.json")]) in (0, 3)
+        assert "kind: M2" in capsys.readouterr().out
+        assert main(["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32"]) == 1
+        assert capsys.readouterr().err == (
+            "error: check needs --fit, or --kind M1|M2 and all of --gamma0 --gamma1 --r\n")
+
+    def test_kind_disagreeing_with_fit_exit_1(self, sdar_csv, tmp_path, capsys):
+        fit_dir = tmp_path / "f7"
+        main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M1",
+              "--out", str(fit_dir), "--n-starts", "2"])
+        fit_path = fit_dir / "fit_M1.json"
+        capsys.readouterr()
+        assert main(["check", "--fit", str(fit_path), "--kind", "M2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --kind M2 disagrees with the M1 fit {fit_path}\n"
+        assert main(["check", "--fit", str(fit_path), "--kind", "M1"]) in (0, 3)
         assert "kind: M1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--gamma0", "--gamma1", "--r"])

@@ -1,9 +1,10 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
 from sdar import (
     AccuracyReport,
-    ForecastResult,
     PersistenceKind,
     PersistenceParams,
     SdarParams,
@@ -20,7 +21,7 @@ from sdar import (
     setar_paths,
     simulate,
 )
-from sdar.forecast import _empirical_quantiles, horizon_csv, relative_efficiency_csv
+from sdar.forecast import horizon_csv, relative_efficiency_csv
 
 from conftest import gen_setar, m1_truth
 
@@ -31,6 +32,10 @@ def tiny_sigma_params(alpha=-1.0):
     # near-deterministic map so MC means can be checked against the
     # noiseless recursion
     return SdarParams(alpha, PersistenceParams(0.4, 0.07, 0.32), 1e-8, M1)
+
+
+def m2_truth():
+    return SdarParams(-1.5, PersistenceParams(1.5, 0.1, 0.5), 0.5, PersistenceKind.M2)
 
 
 def noiseless_path(params, y0, H):
@@ -86,14 +91,6 @@ class TestMcForecastSdar:
             big.path_std[0] / 100.0
         )
 
-    def test_means_only_matches_default(self):
-        full = mc_forecast_sdar(m1_truth(), -3.0, H=6, M=2000, seed=7)
-        lean = mc_forecast_sdar(m1_truth(), -3.0, H=6, M=2000, seed=7,
-                                quantile_probs=())
-        assert lean.quantiles == {}
-        np.testing.assert_array_equal(lean.means, full.means)
-        np.testing.assert_array_equal(lean.path_std, full.path_std)
-
     def test_bad_args(self):
         with pytest.raises(ValueError):
             mc_forecast_sdar(m1_truth(), 0.0, H=0, M=10)
@@ -106,52 +103,77 @@ class TestMcForecastSdar:
             mc_forecast_sdar(m1_truth(), y_n, H=3, M=10)
 
 
-class TestEmpiricalQuantiles:
-    @pytest.mark.parametrize("probs", [
-        (0.05, 0.25, 0.5, 0.75, 0.95),
-        (0.95, 0.5, 0.05, 0.75, 0.25),
-        (0.0, 1.0, 0.333),
-    ])
-    def test_one_pass_equals_per_probability_calls(self, probs):
-        paths = np.random.default_rng(0).standard_normal((10_000, 20))
-        got = _empirical_quantiles(paths, probs)
-        assert list(got) == sorted(probs)
-        for p in probs:
-            assert np.array_equal(got[p], np.quantile(paths, p, axis=0))
+def reference_means(params, grid, H, nodes=32):
+    """Conditional means m_1..m_H on ``grid``, with no simulation.
 
-    def test_no_probabilities_gives_empty_dict(self):
-        assert _empirical_quantiles(np.zeros((5, 3)), ()) == {}
+    SDAR is a scalar Markov chain, so m_h(y) = E[m_{h-1}(alpha + psi(y) y
+    + sigma Z)] with m_0(y) = y. The expectation is a Gauss-Hermite sum
+    and m_{h-1} between grid points is linear interpolation.
+    """
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    step = params.alpha + psi(params.kind, grid, params.pf) * grid
+    nxt = step[:, None] + params.sigma * np.sqrt(2.0) * x  # (grid, node) next states
+    m, out = grid, []
+    for _ in range(H):
+        m = np.interp(nxt, grid, m) @ w / np.sqrt(np.pi)
+        out.append(m)
+    return np.array(out)  # (H, grid)
+
+
+class TestMeansAgainstReference:
+    """MC means against the integral recursion, beyond the AR(1) subcase."""
+
+    H, M = 10, 100_000
+    ORIGINS = ("min", "median", "max")
+
+    @pytest.mark.parametrize("truth", [m1_truth, m2_truth], ids=["M1", "M2"])
+    def test_reference_is_converged(self, truth):
+        # Doubling the grid and going to 48 nodes moves the table by far
+        # less than one MC standard error (about 2e-3 at M = 100k) over
+        # the data's range; the margins only carry the quadrature tails.
+        params = truth()
+        path = simulate(params, 1001, seed=61).values
+        coarse = np.linspace(path.min() - 4.0, path.max() + 4.0, 801)
+        fine = np.linspace(coarse[0], coarse[-1], 1601)
+        a = reference_means(params, coarse, self.H)
+        b = np.array([np.interp(coarse, fine, row)
+                      for row in reference_means(params, fine, self.H, nodes=48)])
+        inside = (path.min() <= coarse) & (coarse <= path.max())
+        assert np.abs(a - b)[:, inside].max() < 1e-5
+
+    @pytest.mark.parametrize("truth", [m1_truth, m2_truth], ids=["M1", "M2"])
+    def test_mc_means_within_bonferroni_band(self, truth):
+        params = truth()
+        path = simulate(params, 1001, seed=61).values
+        grid = np.linspace(path.min() - 4.0, path.max() + 4.0, 801)
+        table = reference_means(params, grid, self.H)
+        # Every (kind, origin, horizon) cell shares one 1e-3 family-wise level.
+        cells = 2 * len(self.ORIGINS) * self.H
+        bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * cells))
+        for seed, origin in enumerate(self.ORIGINS):
+            y_n = float(getattr(np, origin)(path))
+            fc = mc_forecast_sdar(params, y_n, self.H, self.M, seed=70 + seed)
+            want = [np.interp(y_n, grid, row) for row in table]
+            dev = np.abs(fc.means - want) / fc.mc_std_error()
+            assert dev.max() < bound, f"{origin} origin {y_n:.3f}: {dev.round(2)}"
 
 
 class TestEvaluateForecasts:
     def test_hand_metrics(self):
-        fc = ForecastResult(
-            horizon=2,
-            means=np.array([1.0, 2.0]),
-            quantiles={},
-            M=1,
-            seed=0,
-        )
-        rep = evaluate_forecasts([2.0, 2.5], fc)
+        rep = evaluate_forecasts([2.0, 2.5], np.array([1.0, 2.0]))
         np.testing.assert_allclose(rep.mafe, [1.0, 0.5])
         np.testing.assert_allclose(rep.msfe, [1.0, 0.25])
         np.testing.assert_allclose(rep.mape, [0.5, 0.2])
         assert rep.n_origins == 1
 
     def test_zero_actual_gives_nan_mape(self):
-        fc = ForecastResult(
-            horizon=1, means=np.array([1.0]), quantiles={}, M=1, seed=0
-        )
-        rep = evaluate_forecasts([0.0], fc)
+        rep = evaluate_forecasts([0.0], np.array([1.0]))
         assert np.isnan(rep.mape[0])
         assert rep.mafe[0] == 1.0
 
     def test_length_mismatch(self):
-        fc = ForecastResult(
-            horizon=2, means=np.zeros(2), quantiles={}, M=1, seed=0
-        )
         with pytest.raises(ValueError):
-            evaluate_forecasts([1.0], fc)
+            evaluate_forecasts([1.0], np.zeros(2))
 
     def test_csv_layout(self):
         rep = AccuracyReport(
@@ -273,10 +295,6 @@ class TestRollingEvaluate:
             [constant_forecaster(0.0)], train, test, H=4, mode="rolling-origin"
         )
         assert np.all(rep.msfe < flat.msfe)
-
-
-def m2_truth():
-    return SdarParams(-1.5, PersistenceParams(1.5, 0.1, 0.5), 0.5, PersistenceKind.M2)
 
 
 def setar_1_3():

@@ -206,15 +206,6 @@ class TestMcForecastSetar:
         q = np.array([fc.quantiles[p] for p in (0.05, 0.25, 0.5, 0.75, 0.95)])
         assert np.all(np.diff(q, axis=0) >= 0)
 
-    def test_means_only_matches_default(self):
-        fit, y = self.fit_once()
-        full = mc_forecast_setar(fit, y, H=10, M=2000, seed=13)
-        lean = mc_forecast_setar(fit, y, H=10, M=2000, seed=13,
-                                 quantile_probs=())
-        assert lean.quantiles == {}
-        np.testing.assert_array_equal(lean.means, full.means)
-        np.testing.assert_array_equal(lean.path_std, full.path_std)
-
     def test_short_history_rejected(self):
         fit, y = self.fit_once()
         with pytest.raises(ValueError, match="history"):
