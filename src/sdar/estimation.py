@@ -1,16 +1,17 @@
 """Quasi-maximum-likelihood estimation of SDAR parameters.
 
 Maximization is box-constrained quasi-Newton (L-BFGS-B) on the profile
-likelihood over phi = (gamma0, gamma1, r), multi-started from a
-deterministic Sobol design over the box. For fixed phi the likelihood is
-a concave quadratic in alpha and unimodal in sigma, so their box-
-constrained maximizers are clipped closed forms, and by Danskin's theorem
-the profile gradient is the phi block of the full gradient. One kernel
-gives the profile, its value and its gradient, to the optimizer and to
-the final check, computing psi once per point and ln(y^2) once per fit.
-Standard errors are the sandwich form (1/n) Hbar^{-1} G Hbar^{-1}, Hbar
-the empirical mean Hessian and G the mean outer product of
-per-observation scores, both at the estimate.
+likelihood over phi = (gamma0, gamma1, r), polishing an AR(1) warm start
+and the best-screened points of a scale-free Latin hypercube drawn with
+numpy, so a fit imports ``scipy.optimize`` and never ``scipy.stats``. For
+fixed phi the likelihood is a concave quadratic in alpha and unimodal in
+sigma, so their box-constrained maximizers are clipped closed forms, and
+by Danskin's theorem the profile gradient is the phi block of the full
+gradient. One kernel gives the profile, its value and its gradient, to
+the screen, the optimizer and the final check, computing psi once per
+point and ln(y^2) once per fit. Standard errors are the sandwich form
+(1/n) Hbar^{-1} G Hbar^{-1}, Hbar the empirical mean Hessian and G the
+mean outer product of per-observation scores, both at the estimate.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .persistence import (
 )
 from .series import TimeSeries
 
-_GTOL_REL = 1e-6
+_POLISHED = 5  # design points polished after the screen, besides the warm start
+_GAIN_REL = 1e-9
 _BOUNDARY_REL = 1e-6
 _COND_LIMIT = 1e12
 _PHI = slice(1, 4)  # (gamma0, gamma1, r) within theta
@@ -137,9 +139,11 @@ def select_model(fits: list[FitResult]) -> int:
 
 
 def sandwich_cov(
-    params: SdarParams, series: TimeSeries
+    params: SdarParams, series: TimeSeries, hess: np.ndarray | None = None
 ) -> tuple[SandwichMatrices, np.ndarray]:
     """Sandwich covariance (1/n) Hbar^{-1} G Hbar^{-1} at `params`.
+
+    ``hess``, if given, is ``loglik_hess(params, series)``.
 
     Raises
     ------
@@ -151,7 +155,7 @@ def sandwich_cov(
         raise ValueError("series too short for covariance estimation")
     scores = sdar_model._per_obs_score(params, series)
     n = scores.shape[1]
-    h_bar = sdar_model.loglik_hess(params, series) / n
+    h_bar = (sdar_model.loglik_hess(params, series) if hess is None else hess) / n
     g = (scores @ scores.T) / n
     g = 0.5 * (g + g.T)
     if np.linalg.cond(h_bar) > _COND_LIMIT:
@@ -167,8 +171,9 @@ def sandwich_cov(
 def minimize(*args, **kwargs):
     """`scipy.optimize.minimize`, imported on the first call.
 
-    scipy costs about a second to import and only a fit needs it, so
-    ``import sdar`` and the commands that never fit do not load it.
+    ``scipy.optimize`` costs about half a second and 20 MB to import and
+    only a fit needs it, so ``import sdar`` and the commands that never
+    fit do not load it. No part of sdar imports ``scipy.stats``.
     """
     from scipy.optimize import minimize as scipy_minimize
 
@@ -187,13 +192,39 @@ def _projected_grad(theta, grad, lower, upper):
     return pg
 
 
-def _start_points(box: ParamBox, n_starts: int, seed: int) -> np.ndarray:
-    """phi columns of a scrambled Sobol design over theta, cut from a power-of-two draw."""
-    from scipy.stats import qmc
+def _converged(pgrad, hess, ll) -> bool:
+    """Whether a Newton step would gain at most 1e-9 * max(1, |ll|).
 
-    sampler = qmc.Sobol(d=5, scramble=True, seed=seed)
-    unit = sampler.random_base2((n_starts - 1).bit_length())[:n_starts, _PHI]
-    return _interior(box, box.lower[_PHI] + unit * (box.upper - box.lower)[_PHI])
+    The gain is 0.5 * sum pg_i^2 / -H_ii over pg_i != 0, and fails if such
+    an H_ii >= 0. Unlike a gradient norm, it is not decided by rounding on
+    the ridge faces, where a tiny gradient meets a curvature of 1e11.
+    """
+    moving = pgrad != 0
+    curvature = -np.diag(hess)[moving]
+    if not np.all(curvature > 0):
+        return False
+    gain = 0.5 * np.sum(pgrad[moving] ** 2 / curvature)
+    return bool(gain <= _GAIN_REL * max(1.0, abs(ll)))
+
+
+def _start_points(box: ParamBox, lag: np.ndarray, n_starts: int, seed: int) -> np.ndarray:
+    """phi design: a Latin hypercube from ``default_rng(seed)`` in (gamma0, log10 kappa, r).
+
+    kappa = gamma1 * c^(2r), c = median |y_{t-1}|, is the state term at a
+    typical lag: ridge optima with gamma1 near 0 and large |y|^(2r) are
+    where a design uniform in gamma1 rarely starts. gamma0 and r are
+    uniform on the box, log10 kappa on [-4, 1]; gamma1 = kappa / c^(2r).
+    """
+    rng = np.random.default_rng(seed)
+    strata = rng.permuted(np.tile(np.arange(n_starts), (3, 1)), axis=1).T
+    unit = (strata + rng.random((n_starts, 3))) / n_starts
+    lo, span = box.lower[_PHI], (box.upper - box.lower)[_PHI]
+    g0, r = lo[0] + unit[:, 0] * span[0], lo[2] + unit[:, 2] * span[2]
+    kappa = 10.0 ** (5.0 * unit[:, 1] - 4.0)
+    c = float(np.median(np.abs(lag))) or 1.0  # most lags 0: no typical |y| to scale by
+    with np.errstate(over="ignore", divide="ignore"):  # extreme c: gamma1 is clipped below
+        g1 = kappa / c ** (2.0 * r)
+    return _interior(box, np.column_stack([g0, g1, r]))
 
 
 def _interior(box: ParamBox, pts: np.ndarray) -> np.ndarray:
@@ -268,10 +299,10 @@ def fit(
     """Fit an SDAR model by multi-start box-constrained QML.
 
     Returns the best local maximum of the profile likelihood in phi over
-    an AR(1) warm start and ``n_starts`` L-BFGS-B runs started from a
-    scrambled Sobol design over the box (deterministic given ``seed``).
-    `converged` reflects the projected-gradient norm of the full
-    likelihood at the incumbent, re-checked with the analytic gradient.
+    L-BFGS-B runs from an AR(1) warm start and, in design order (ties go
+    to the earlier run), the ``_POLISHED`` (5) points of the ``n_starts``-point
+    `_start_points` design (deterministic given ``seed``) with the best
+    profile values. `converged` is `_converged` at the estimate.
     """
     if len(series) < 20:
         raise ValueError("series too short: need at least 20 observations")
@@ -283,11 +314,11 @@ def fit(
         box = ParamBox.default(kind)
 
     objective = _ProfileKernel(series, kind, box)
-    starts = np.vstack(
-        [_warm_start(series, kind, box), _start_points(box, n_starts, seed)]
-    )
+    design = _start_points(box, objective.lag, n_starts, seed)
+    screen = np.array([objective(phi)[0] for phi in design])
+    best = np.sort(np.argsort(screen, kind="stable")[:_POLISHED])
     best_f, best_phi = np.inf, None
-    for phi0 in starts:
+    for phi0 in [_warm_start(series, kind, box), *design[best]]:
         res = minimize(
             objective,
             phi0,
@@ -304,12 +335,11 @@ def fit(
     theta = params.to_array()
     ll = sdar_model.loglik(params, series)
     grad = sdar_model.loglik_grad(params, series)
+    hess = sdar_model.loglik_hess(params, series)
     pgrad = _projected_grad(theta, grad, box.lower, box.upper)
-    grad_norm = float(np.linalg.norm(pgrad))
-    converged = grad_norm <= _GTOL_REL * max(1.0, abs(ll))
 
     try:
-        _, cov = sandwich_cov(params, series)
+        _, cov = sandwich_cov(params, series, hess)
         std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         cov = std_errors = None
@@ -326,8 +356,8 @@ def fit(
         loglik=ll,
         aic=aic(ll, 5),
         n_obs=len(series) - 1,
-        converged=converged,
+        converged=_converged(pgrad, hess, ll),
         n_starts=n_starts,
-        grad_norm=grad_norm,
+        grad_norm=float(np.linalg.norm(pgrad)),
         at_boundary=at_boundary,
     )

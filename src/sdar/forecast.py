@@ -32,7 +32,6 @@ class ForecastResult:
     means: np.ndarray
     quantiles: dict[float, np.ndarray]
     M: int
-    seed: int
     path_std: np.ndarray
 
     def mc_std_error(self) -> np.ndarray:
@@ -57,7 +56,7 @@ class AccuracyReport:
         return horizon_csv({name: getattr(self, name) for name in METRIC_NAMES})
 
 
-def _summarize(paths: np.ndarray, seed: int) -> ForecastResult:
+def _summarize(paths: np.ndarray) -> ForecastResult:
     """Fan summary of an (M, H) path array: means, `QUANTILE_PROBS` quantiles, path std."""
     M, H = paths.shape
     return ForecastResult(
@@ -65,7 +64,6 @@ def _summarize(paths: np.ndarray, seed: int) -> ForecastResult:
         means=paths.mean(axis=0),
         quantiles=dict(zip(QUANTILE_PROBS, np.quantile(paths, QUANTILE_PROBS, axis=0))),
         M=M,
-        seed=seed,
         path_std=paths.std(axis=0, ddof=1) if M > 1 else np.zeros(H),
     )
 
@@ -110,7 +108,7 @@ def mc_forecast_sdar(
     independent of path evaluation order.
     """
     z = _normals(M, H, seed)  # lives until return: bench/probe.py's rescaling follows heap state
-    return _summarize(sdar_paths(fit, y_n, z), seed)
+    return _summarize(sdar_paths(fit, y_n, z))
 
 
 def _errors(actuals: np.ndarray, means: np.ndarray):

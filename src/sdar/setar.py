@@ -240,4 +240,4 @@ def mc_forecast_setar(
     The paths are `setar_paths` driven by one seeded (M, H) draw.
     """
     z = _normals(M, H, seed)  # lives until return: bench/probe.py's rescaling follows heap state
-    return _summarize(setar_paths(fit, history, z), seed)
+    return _summarize(setar_paths(fit, history, z))

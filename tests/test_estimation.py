@@ -15,6 +15,7 @@ from sdar import (
     fit,
     loglik,
     loglik_grad,
+    loglik_hess,
     residuals,
     sandwich_cov,
     select_model,
@@ -69,10 +70,11 @@ class TestParamBox:
 class TestStartInterior:
     # gamma1 and r pinned, as in the AR(1) reduction of criterion 4
     BOX = ParamBox.default(M1).pin("gamma1", 0.0).pin("r", 0.7)
+    LAG = simulate(m1_truth(), 400, seed=11).values[:-1]
 
-    def assert_interior(self, pts):
+    def assert_interior(self, pts, box=BOX):
         # starts live in phi = (gamma0, gamma1, r)
-        lower, upper = self.BOX.lower[1:4], self.BOX.upper[1:4]
+        lower, upper = box.lower[1:4], box.upper[1:4]
         free = upper > lower
         pts = np.atleast_2d(pts)
         assert pts.shape[1] == 3
@@ -80,15 +82,33 @@ class TestStartInterior:
         assert np.all(pts[:, free] > lower[free])
         assert np.all(pts[:, free] < upper[free])
 
-    def test_sobol_starts(self):
-        self.assert_interior(_start_points(self.BOX, 16, seed=2))
+    @pytest.mark.parametrize("box", [BOX, ParamBox.default(M1), ParamBox.default(M2)],
+                             ids=["pinned", "M1", "M2"])
+    def test_design_inside_box(self, box):
+        self.assert_interior(_start_points(box, self.LAG, 16, seed=2), box)
 
-    def test_sobol_prefix_without_balance_warning(self):
-        box = ParamBox.default(M1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            six = _start_points(box, 6, seed=5)
-        np.testing.assert_array_equal(six, _start_points(box, 8, seed=5)[:6])
+    def test_design_one_point_per_stratum(self):
+        # gamma0 and r are stratified on the box, kappa = gamma1 c^(2r) on
+        # log10 in [-4, 1]; gamma1 values clipped into the box leave their stratum
+        n, box = 16, ParamBox.default(M1)
+        lo, hi = box.lower[1:4], box.upper[1:4]
+        g0, g1, r = _start_points(box, self.LAG, n, seed=3).T
+        for x, i in ((g0, 0), (r, 2)):
+            strata = np.floor(n * (x - lo[i]) / (hi[i] - lo[i])).astype(int)
+            np.testing.assert_array_equal(np.sort(strata), np.arange(n))
+        c, margin = np.median(np.abs(self.LAG)), 1e-4 * (hi[1] - lo[1])
+        free = (g1 > lo[1] + margin) & (g1 < hi[1] - margin)
+        kappa = g1[free] * c ** (2.0 * r[free])
+        strata = np.floor(n * (np.log10(kappa) + 4.0) / 5.0).astype(int)
+        assert free.sum() >= n // 2
+        assert len(set(strata)) == strata.size
+        assert strata.min() >= 0 and strata.max() < n
+
+    def test_same_seed_same_design(self):
+        box = ParamBox.default(M2)
+        a = _start_points(box, self.LAG, 12, seed=5)
+        np.testing.assert_array_equal(a, _start_points(box, self.LAG, 12, seed=5))
+        assert not np.array_equal(a, _start_points(box, self.LAG, 12, seed=6))
 
     def test_warm_start(self):
         # an alternating series has a negative AR(1) slope, which maps
@@ -341,6 +361,31 @@ class TestFitAr1Reduction:
         assert res.std_errors[0] == pytest.approx(classical[0], rel=0.15)
 
 
+class TestConvergedRule:
+    """`converged` holds when a Newton step on the free coordinates would
+    gain at most 1e-9 * max(1, |loglik|)."""
+
+    def test_false_off_the_optimum(self):
+        y, box = simulate(m1_identified_truth(), 2000, seed=21), ParamBox.default(M1)
+
+        def rule(theta):
+            p = SdarParams.from_array(theta, M1)
+            pg = estimation._projected_grad(theta, loglik_grad(p, y), box.lower, box.upper)
+            return estimation._converged(pg, loglik_hess(p, y), loglik(p, y))
+
+        res = fit(y, M1, n_starts=4, seed=0)
+        theta = res.theta_hat.to_array()
+        assert res.converged and rule(theta)
+        theta[0] += 0.01
+        assert not rule(theta)
+
+    def test_push_without_curvature_fails(self):
+        pg, hess = np.array([0.0, 1e-12, 0.0, 0.0, 0.0]), -np.eye(5)
+        assert estimation._converged(pg, hess, -100.0)
+        hess[1, 1] = 0.0
+        assert not estimation._converged(pg, hess, -100.0)
+
+
 class TestFitBehaviour:
     def test_deterministic_given_seed(self):
         y = simulate(m1_truth(), 400, seed=10)
@@ -418,6 +463,37 @@ class TestFitBehaviour:
         res = fit(y, M1, n_starts=0)
         assert res.n_starts == 0
         np.testing.assert_array_equal(runs, [_warm_start(y, M1, ParamBox.default(M1))])
+
+    def test_polishes_warm_start_and_best_screened_points_in_design_order(self, monkeypatch):
+        real, runs = estimation.minimize, []
+
+        def counted(*args, **kwargs):
+            runs.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", counted)
+        y, box, k = simulate(m1_truth(), 300, seed=15), ParamBox.default(M1), estimation._POLISHED
+        fit(y, M1, n_starts=10, seed=4)
+        design = _start_points(box, y.values[:-1], 10, seed=4)
+        screen = np.array([_ProfileKernel(y, M1, box)(phi)[0] for phi in design])
+        np.testing.assert_array_equal(runs[0], _warm_start(y, M1, box))
+        assert len(runs) == 1 + k
+        picked = [int(np.flatnonzero((design == phi).all(axis=1))[0]) for phi in runs[1:]]
+        assert picked == sorted(picked)
+        rest = np.setdiff1d(np.arange(10), picked)
+        assert screen[picked].max() <= screen[rest].min()
+
+    def test_mostly_zero_series_fits_without_warning(self):
+        # median |y| = 0 leaves the design no typical |y| to scale by
+        y = np.zeros(300)
+        y[::3] = gen_ar1(100, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(TimeSeries(y), M1, n_starts=8, seed=1)
+        assert np.isfinite(res.loglik)
+        assert np.all(np.isfinite(res.theta_hat.to_array()))
+        # gamma1 still spreads over the box instead of piling on its upper clip
+        assert np.unique(_start_points(ParamBox.default(M1), y[:-1], 8, seed=1)[:, 1]).size == 8
 
     def test_json_roundtrip(self):
         with_se = fit(simulate(m1_truth(), 300, seed=17), M1, n_starts=4, seed=9)

@@ -12,6 +12,9 @@ SRC = str(Path(sdar.__file__).resolve().parent.parent)
 SCIPY_LOADED = (
     "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
 )
+SCIPY_STATS_LOADED = (
+    "any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules)"
+)
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -62,6 +65,24 @@ res = sdar.fit(sdar.simulate(truth, n=300, seed=1), sdar.PersistenceKind.M1,
                n_starts=2, seed=0)
 assert np.isfinite(res.loglik)
 assert "scipy.optimize" in sys.modules
+assert not {SCIPY_STATS_LOADED}
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fit_sdar_command_loads_no_scipy_stats(tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_text(
+        "value\n" + "\n".join(f"{v:.12g}" for v in gen_setar(300, seed=4)) + "\n"
+    )
+    code = f"""
+import sys
+from sdar.cli import main
+assert main(["fit-sdar", "--input", {str(series)!r}, "--kind", "both",
+             "--n-starts", "4", "--out", {str(tmp_path / 'fit')!r}]) == 0
+assert "scipy.optimize" in sys.modules
+assert not {SCIPY_STATS_LOADED}, "fit-sdar"
 """
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
