@@ -49,13 +49,13 @@ H, M = 10, 5000
 
 
 # A rolling forecaster maps (history, z) to the per-horizon means, where
-# z is the origin's (M, H) standard-normal draw, shared by both models.
+# z is the origin's (H, M) standard-normal draw, shared by both models.
 def forecast_sdar(history, z):
-    return sdar_paths(sdar_fit, history[-1], z).mean(axis=0)
+    return sdar_paths(sdar_fit, history[-1], z).mean(axis=1)
 
 
 def forecast_setar(history, z):
-    return setar_paths(setar_fit, history, z).mean(axis=0)
+    return setar_paths(setar_fit, history, z).mean(axis=1)
 
 
 acc_sdar, acc_setar = rolling_evaluate([forecast_sdar, forecast_setar], train, test,

@@ -258,10 +258,10 @@ def cmd_compare(args) -> int:
 
     # Both models read the same draw at each origin; only the means are scored.
     def sdar_forecaster(history, z):
-        return sdar_paths(sdar_fit, history[-1], z).mean(axis=0)
+        return sdar_paths(sdar_fit, history[-1], z).mean(axis=1)
 
     def setar_forecaster(history, z):
-        return setar_paths(setar_fit, history, z).mean(axis=0)
+        return setar_paths(setar_fit, history, z).mean(axis=1)
 
     sdar_acc, setar_acc = rolling_evaluate(
         [sdar_forecaster, setar_forecaster], train, test, args.horizon,

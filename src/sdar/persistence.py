@@ -100,7 +100,7 @@ def _d2g(kind, ps):
     """(k, q, c) with g''(u) = k * q and g''(u) / -g'(u) = k * c.
 
     c is written out, not divided, so it is finite where psi is 0. k goes first
-    in each entry, so k * w**2 * q rounds and overflows like 2 * w**2 * psi**3.
+    in each entry, so k * w**2 * q rounds like 2 * w**2 * psi**3.
     """
     return (1.0, ps, 1.0) if kind is PersistenceKind.M1 else (2.0, ps**3, ps)
 
@@ -179,7 +179,8 @@ def _hess_stack(kind, w, ps, lg, g1):
     h[0, 0] = k * q
     h[0, 1] = h[1, 0] = k * w * q
     h[0, 2] = h[2, 0] = k * g1 * w * lg * q
-    h[1, 1] = k * w**2 * q
+    with np.errstate(over="ignore", invalid="ignore"):  # w**2 may overflow where q is 0
+        h[1, 1] = np.where(q == 0.0, 0.0, k * w**2 * q)
     h[1, 2] = h[2, 1] = w * lg * b1 * curv
     h[2, 2] = g1 * w * lg**2 * b1 * curv
     return h

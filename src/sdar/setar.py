@@ -194,13 +194,14 @@ def select_setar(
 
 
 def setar_paths(fit: SetarFit, history, z: np.ndarray) -> np.ndarray:
-    """The (M, H) SETAR paths from the last observed values.
+    """The (H, M) SETAR paths from the last observed values; row h is step h + 1.
 
     Each path iterates the two-regime map, deciding the regime at every
     step from the previous (simulated) value, with regime-specific
-    Gaussian noise ``sigma * z``; ``z`` holds the (M, H) standard
+    Gaussian noise ``sigma * z``; ``z`` holds the (H, M) standard
     normals and is only read. At h = 1 the regime is decided by real
-    data, so it is identical across paths.
+    data, so it is identical across paths. Each regime mean is a sum of
+    lag rows, oldest lag first, with the intercept added last.
     """
     fit.validate()
     p = max(fit.d1, fit.d2)
@@ -209,23 +210,27 @@ def setar_paths(fit: SetarFit, history, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"history must contain at least {p} values")
     if not np.isfinite(history[-p:]).all():
         raise ValueError(f"history must be finite in its last {p} values")
-    M, H = z.shape
-    # buf[:, h : h + p] is the lag state of step h, oldest first; step h
-    # writes column p + h, so the paths fill buf[:, p:].
-    buf = np.empty((M, p + H))
-    buf[:, :p] = history[-p:]
-    phi1 = fit.phi1[::-1]  # align with state columns (oldest first)
-    phi2 = fit.phi2[::-1]
+    H, M = z.shape
+    # buf[h : h + p] is the lag state of step h, oldest first; step h
+    # writes row p + h, so the paths fill buf[p:].
+    buf = np.empty((p + H, M))
+    buf[:p] = history[-p:, None]
+
+    def regime_mean(c, phi, lags):
+        # phi[k] weighs y_{t-1-k}, the row lags[-1 - k]
+        total = phi[-1] * lags[-len(phi)]
+        for k in range(len(phi) - 2, -1, -1):
+            total += phi[k] * lags[-1 - k]
+        return total + c
+
     for h in range(H):
-        low = buf[:, h + p - 1] <= fit.threshold
-        mean = np.where(
-            low,
-            fit.c1 + buf[:, h + p - fit.d1 : h + p] @ phi1,
-            fit.c2 + buf[:, h + p - fit.d2 : h + p] @ phi2,
-        )
+        lags = buf[h : h + p]
+        low = lags[-1] <= fit.threshold
+        mean = np.where(low, regime_mean(fit.c1, fit.phi1, lags),
+                        regime_mean(fit.c2, fit.phi2, lags))
         sigma = np.where(low, fit.sigma1, fit.sigma2)
-        buf[:, p + h] = mean + sigma * z[:, h]
-    return buf[:, p:]
+        buf[p + h] = mean + sigma * z[h]
+    return buf[p:]
 
 
 def mc_forecast_setar(
@@ -237,7 +242,7 @@ def mc_forecast_setar(
 ) -> ForecastResult:
     """Monte-Carlo multi-step SETAR forecast from the last observed values.
 
-    The paths are `setar_paths` driven by one seeded (M, H) draw.
+    The paths are `setar_paths` driven by one seeded draw, `_normals(M, H, seed)`.
     """
     z = _normals(M, H, seed)  # lives until return: bench/probe.py's rescaling follows heap state
     return _summarize(setar_paths(fit, history, z))

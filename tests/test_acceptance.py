@@ -336,10 +336,10 @@ class TestCriterion7CompareHarness:
             setar_fit = select_setar(train, max_lag=3)
 
             def fc_sdar(history, z):
-                return sdar_paths(sdar_fit, history[-1], z).mean(axis=0)
+                return sdar_paths(sdar_fit, history[-1], z).mean(axis=1)
 
             def fc_setar(history, z):
-                return setar_paths(setar_fit, history, z).mean(axis=0)
+                return setar_paths(setar_fit, history, z).mean(axis=1)
 
             acc_sdar, acc_setar = rolling_evaluate(
                 [fc_sdar, fc_setar], train, test, H, M=2000, seed=seed,

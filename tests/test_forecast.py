@@ -21,7 +21,7 @@ from sdar import (
     setar_paths,
     simulate,
 )
-from sdar.forecast import horizon_csv, relative_efficiency_csv
+from sdar.forecast import _normals, _summarize, horizon_csv, relative_efficiency_csv
 
 from conftest import gen_setar, m1_truth
 
@@ -190,15 +190,15 @@ class TestEvaluateForecasts:
 
 def constant_forecaster(value):
     def forecaster(history, z):
-        return np.full(z.shape[1], float(value))
+        return np.full(z.shape[0], float(value))
 
     return forecaster
 
 
 def seed_of(z):
-    """The seed whose ``default_rng`` draw of z's shape is z."""
+    """The seed whose ``default_rng`` (M, H) draw is the (H, M) z, transposed."""
     return next(s for s in range(1000)
-                if np.array_equal(np.random.default_rng(s).standard_normal(z.shape), z))
+                if np.array_equal(np.random.default_rng(s).standard_normal(z.shape[::-1]).T, z))
 
 
 class TestRollingEvaluate:
@@ -215,7 +215,7 @@ class TestRollingEvaluate:
         # a forecaster that reads its history and draw, and a zero in
         # the test window, so MAPE has an undefined horizon
         def forecaster(history, z):
-            return sdar_paths(m1_truth(), history[-1], z).mean(axis=0)
+            return sdar_paths(m1_truth(), history[-1], z).mean(axis=1)
 
         y = simulate(m1_truth(), 220, seed=41).values
         train = TimeSeries(y[:200])
@@ -248,13 +248,18 @@ class TestRollingEvaluate:
         seen = []
 
         def spy(history, z):
-            seen.append((history.size, seed_of(z)))
-            return np.zeros(z.shape[1])
+            assert not history.flags.writeable
+            with pytest.raises(ValueError):
+                history[-1] = 0.0
+            seen.append((history.copy(), seed_of(z)))
+            return np.zeros(z.shape[0])
 
         train = TimeSeries(np.zeros(10))
         test = TimeSeries(np.ones(4))
         rolling_evaluate([spy], train, test, H=2, seed=100, mode="rolling-origin")
-        assert seen == [(10, 100), (11, 101), (12, 102)]
+        assert [s for _, s in seen] == [100, 101, 102]
+        for o, (history, _) in enumerate(seen):
+            assert np.array_equal(history, np.r_[np.zeros(10), np.ones(o)])
 
     def test_horizon_too_long_rejected(self):
         train = TimeSeries(np.zeros(10))
@@ -285,7 +290,7 @@ class TestRollingEvaluate:
         train, test = TimeSeries(y[:580]), TimeSeries(y[580:])
 
         def sdar_forecaster(history, z):
-            return sdar_paths(p, history[-1], z).mean(axis=0)
+            return sdar_paths(p, history[-1], z).mean(axis=1)
 
         (rep,) = rolling_evaluate(
             [sdar_forecaster], train, test, H=4, M=2000, seed=50,
@@ -311,15 +316,19 @@ def fan(model, history, H, M, seed):
     return mc_forecast_sdar(model, history[-1], H, M, seed)
 
 
-def means_forecaster(model):
+def paths_of(model, history, z):
     if isinstance(model, SetarFit):
-        return lambda history, z: setar_paths(model, history, z).mean(axis=0)
-    return lambda history, z: sdar_paths(model, history[-1], z).mean(axis=0)
+        return setar_paths(model, history, z)
+    return sdar_paths(model, history[-1], z)
+
+
+def means_forecaster(model):
+    return lambda history, z: paths_of(model, history, z).mean(axis=1)
 
 
 def reference_paths(model, history, H, M, seed):
-    """The path loops as first written: a pre-scaled SDAR draw, and a
-    SETAR lag state rebuilt by ``np.concatenate`` at every step."""
+    """The path loops as first written, on (M, H) paths: a pre-scaled SDAR
+    draw, and a SETAR lag state rebuilt by ``np.concatenate`` at every step."""
     eps = np.random.default_rng(seed).standard_normal((M, H))
     paths = np.empty((M, H))
     if not isinstance(model, SetarFit):
@@ -342,6 +351,32 @@ def reference_paths(model, history, H, M, seed):
     return paths
 
 
+class TestDrawAndSummary:
+    def test_normals_are_the_transposed_draw(self):
+        z = _normals(7, 3, 11)
+        assert z.shape == (3, 7)
+        assert z.flags.c_contiguous
+        assert np.array_equal(z.T, np.random.default_rng(11).standard_normal((7, 3)))
+
+    @pytest.mark.parametrize("H, M", [(1, 1), (3, 1), (4, 9), (5, 1000)])
+    def test_summary_of_unsorted_paths(self, H, M):
+        # Rows with ties: every value appears twice, row 0 is constant.
+        rng = np.random.default_rng(12)
+        half = rng.standard_normal((H, (M + 1) // 2)) * [[10.0 ** k] for k in range(H)]
+        paths = np.concatenate([half, half[:, ::-1]], axis=1)[:, :M]
+        paths[0] = 0.1
+        unsorted = paths.copy()
+        fc = _summarize(paths)
+        # Each row is permuted in place: sorted, then partitioned by np.quantile.
+        assert np.array_equal(np.sort(paths, axis=1), np.sort(unsorted, axis=1))
+        for q, got in fc.quantiles.items():
+            assert np.array_equal(got, np.quantile(unsorted, q, axis=1))
+        assert np.array_equal(fc.means, unsorted.mean(axis=1))
+        want_std = unsorted.std(axis=1, ddof=1) if M > 1 else np.zeros(H)
+        assert np.array_equal(fc.path_std, want_std)
+        assert (fc.horizon, fc.M) == (H, M)
+
+
 class TestPathLoopParity:
     """The shared path loops against independent references, bit for bit."""
 
@@ -355,13 +390,14 @@ class TestPathLoopParity:
     def test_fan_equals_reference_loop(self, name, H, M):
         model = MODELS[name]()
         history = gen_setar(50, seed=29)
+        paths = np.ascontiguousarray(reference_paths(model, history, H, M, 5).T)
+        assert np.array_equal(paths_of(model, history, _normals(M, H, 5)), paths)
         fc = fan(model, history, H, M, 5)
-        paths = reference_paths(model, history, H, M, 5)
-        assert np.array_equal(fc.means, paths.mean(axis=0))
+        assert np.array_equal(fc.means, paths.mean(axis=1))
         assert sorted(fc.quantiles) == [0.05, 0.25, 0.5, 0.75, 0.95]
         for q, got in fc.quantiles.items():
-            assert np.array_equal(got, np.quantile(paths, q, axis=0))
-        want_std = paths.std(axis=0, ddof=1) if M > 1 else np.zeros(H)
+            assert np.array_equal(got, np.quantile(paths, q, axis=1))
+        want_std = paths.std(axis=1, ddof=1) if M > 1 else np.zeros(H)
         assert np.array_equal(fc.path_std, want_std)
 
     @pytest.mark.parametrize("name", list(MODELS))
@@ -397,7 +433,7 @@ class TestPathLoopParity:
 
         def spy(history, z):
             seen.append((history.size, z))
-            return np.zeros(z.shape[1])
+            return np.zeros(z.shape[0])
 
         train, test = self.window()
         rolling_evaluate([spy, spy], train, test, H=3, M=50, seed=5, mode="rolling-origin")
@@ -410,7 +446,7 @@ class TestPathLoopParity:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
-            assert np.array_equal(a, np.random.default_rng(5 + o).standard_normal((50, 3)))
+            assert np.array_equal(a, np.random.default_rng(5 + o).standard_normal((50, 3)).T)
 
 
 class TestRelativeEfficiency:

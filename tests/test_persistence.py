@@ -237,6 +237,16 @@ class TestChainRuleHessian:
         assert psi(M1, 45.0, PersistenceParams(0.4, 1.0, 1.0)) == 0.0
         assert psi(M1, 1.0, PersistenceParams(800.0, 0.3, 0.6)) == 0.0
 
+    def test_gamma1_entry_is_zero_where_psi_cubed_underflows(self):
+        # M2 at y = -1e200: w = 1e154, so 2 w^2 overflows while psi^3 is 0.
+        p = PersistenceParams(2.596, 0.00393, 0.385)
+        h = psi_hess(M2, -1e200, p)
+        assert h[1, 1] == 0.0
+        assert np.isfinite(h).all()
+        y = np.array([-1e200, 1.5])
+        assert np.array_equal(psi_hess(M2, y, p)[:, :, 1], psi_hess(M2, 1.5, p))
+        assert psi_hess(M2, y, p)[1, 1, 0] == 0.0
+
 
 _PF = PersistenceParams(1.4, 0.07, 0.32)  # valid for both kinds
 
