@@ -9,7 +9,6 @@ baseline, and a forecast-accuracy comparison harness.
 from .estimation import (
     FitResult,
     ParamBox,
-    SandwichMatrices,
     aic,
     fit,
     sandwich_cov,
@@ -18,7 +17,6 @@ from .estimation import (
 from .forecast import (
     AccuracyReport,
     ForecastResult,
-    evaluate_forecasts,
     mc_forecast_sdar,
     relative_efficiency,
     rolling_evaluate,
@@ -42,8 +40,6 @@ from .persistence import (
     check_assumptions,
     psi,
     psi_dy,
-    psi_grad,
-    psi_hess,
 )
 from .series import (
     IngestError,
@@ -66,7 +62,6 @@ __all__ = [
     "ParamBox",
     "PersistenceKind",
     "PersistenceParams",
-    "SandwichMatrices",
     "SdarParams",
     "SetarFit",
     "TimeSeries",
@@ -74,7 +69,6 @@ __all__ = [
     "a1_bound_numeric",
     "aic",
     "check_assumptions",
-    "evaluate_forecasts",
     "fit",
     "fit_setar",
     "load_returns",
@@ -87,8 +81,6 @@ __all__ = [
     "persistence_series",
     "psi",
     "psi_dy",
-    "psi_grad",
-    "psi_hess",
     "realized_volatility",
     "relative_efficiency",
     "residuals",

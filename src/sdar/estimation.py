@@ -31,7 +31,6 @@ from .series import TimeSeries
 
 _POLISHED = 5  # design points polished after the screen, besides the warm start
 _GAIN_REL = 1e-9
-_BOUNDARY_REL = 1e-6
 _COND_LIMIT = 1e12
 _PHI = slice(1, 4)  # (gamma0, gamma1, r) within theta
 _JSON_SCALARS = ("loglik", "aic", "n_obs", "converged", "n_starts", "grad_norm")
@@ -77,14 +76,6 @@ class ParamBox:
         return ParamBox(lower, upper)
 
 
-@dataclass(frozen=True)
-class SandwichMatrices:
-    """Empirical mean Hessian and mean outer-product of scores."""
-
-    H_bar: np.ndarray
-    G: np.ndarray
-
-
 @dataclass
 class FitResult:
     """Outcome of a QML fit."""
@@ -98,7 +89,6 @@ class FitResult:
     converged: bool
     n_starts: int
     grad_norm: float
-    at_boundary: np.ndarray | None = None
 
     def to_json(self) -> str:
         se, cov = self.std_errors, self.covariance
@@ -140,13 +130,15 @@ def select_model(fits: list[FitResult]) -> int:
 
 def sandwich_cov(
     params: SdarParams, series: TimeSeries, hess: np.ndarray | None = None
-) -> tuple[SandwichMatrices, np.ndarray]:
-    """Sandwich covariance (1/n) Hbar^{-1} G Hbar^{-1} at `params`.
+) -> np.ndarray:
+    """The 5x5 sandwich covariance (1/n) Hbar^{-1} G Hbar^{-1} at `params`.
 
     ``hess``, if given, is ``loglik_hess(params, series)``.
 
     Raises
     ------
+    ValueError
+        If the series has fewer than 6 observations.
     np.linalg.LinAlgError
         If the mean Hessian is numerically singular
         (condition number above 1e12).
@@ -165,7 +157,7 @@ def sandwich_cov(
     h_inv = np.linalg.inv(h_bar)
     cov = h_inv @ g @ h_inv / n
     cov = 0.5 * (cov + cov.T)
-    return SandwichMatrices(H_bar=h_bar, G=g), cov
+    return cov
 
 
 def minimize(*args, **kwargs):
@@ -332,22 +324,16 @@ def fit(
             best_f, best_phi = res.fun, res.x
 
     params = objective.profile(best_phi)[0]
-    theta = params.to_array()
     ll = sdar_model.loglik(params, series)
     grad = sdar_model.loglik_grad(params, series)
     hess = sdar_model.loglik_hess(params, series)
-    pgrad = _projected_grad(theta, grad, box.lower, box.upper)
+    pgrad = _projected_grad(params.to_array(), grad, box.lower, box.upper)
 
     try:
-        _, cov = sandwich_cov(params, series, hess)
+        cov = sandwich_cov(params, series, hess)
         std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         cov = std_errors = None
-
-    span = box.upper - box.lower
-    at_boundary = (theta - box.lower <= _BOUNDARY_REL * span) | (
-        box.upper - theta <= _BOUNDARY_REL * span
-    )
 
     return FitResult(
         theta_hat=params,
@@ -359,5 +345,4 @@ def fit(
         converged=_converged(pgrad, hess, ll),
         n_starts=n_starts,
         grad_norm=float(np.linalg.norm(pgrad)),
-        at_boundary=at_boundary,
     )

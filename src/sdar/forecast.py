@@ -136,20 +136,6 @@ def _errors(actuals: np.ndarray, means: np.ndarray):
         return err, err**2, np.where(actuals != 0.0, err / np.abs(actuals), np.nan)
 
 
-def evaluate_forecasts(actuals, forecast: ForecastResult | np.ndarray) -> AccuracyReport:
-    """Score a single-origin forecast against realized values.
-
-    ``forecast`` is a `ForecastResult` or the per-horizon means
-    directly. MAPE entries at zero actuals are NaN; the other metrics
-    are still computed.
-    """
-    actuals = np.asarray(actuals, dtype=float)
-    means = np.asarray(getattr(forecast, "means", forecast), dtype=float)
-    if actuals.size != means.size:
-        raise ValueError(f"need {means.size} actuals, got {actuals.size}")
-    return AccuracyReport(*_errors(actuals, means), n_origins=1)
-
-
 def rolling_evaluate(
     forecasters,
     series_train: TimeSeries,
@@ -172,8 +158,8 @@ def rolling_evaluate(
         ``_normals(M, H, seed + o)``, and every forecaster gets the
         same draw. Parameters are not re-estimated per origin.
     mode : {"single-origin", "rolling-origin"}
-        Single-origin issues one forecast from the end of the training
-        window (origin 0 only). Rolling issues a full H-step forecast
+        Single-origin scores one forecast, issued from the end of the
+        training window (origin 0 only). Rolling issues a full H-step forecast
         from every origin whose targets all lie inside the test window
         (origin o uses the realized test values up to o), giving
         ``len(test) - H + 1`` origins at every horizon.

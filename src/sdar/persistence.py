@@ -105,15 +105,6 @@ def _d2g(kind, ps):
     return (1.0, ps, 1.0) if kind is PersistenceKind.M1 else (2.0, ps**3, ps)
 
 
-def _lifted(kind, y, p, stack):
-    """Validate, apply ``stack`` to y as a 1-d array, and drop that axis again for scalar y."""
-    p.validate(kind)
-    out = stack(np.atleast_1d(np.asarray(y, dtype=float)))
-    if np.asarray(y).ndim:
-        return out
-    return out[..., 0] if out.ndim > 1 else float(out[0])
-
-
 def psi(kind: PersistenceKind, y, p: PersistenceParams):
     """Evaluate the persistence function at state y (scalar or array)."""
     p.validate(kind)
@@ -130,14 +121,13 @@ def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
     flag should test ``2 * p.r < 1 and y == 0`` themselves; every
     internal consumer only uses y * psi'(y), whose limit at 0 is 0.
     """
-
-    def stack(y):
-        # sign(y) * |y|^(2r-1), with the y=0 limit convention 0.
-        dw, nz = np.zeros_like(y), np.abs(y) > 0
-        dw[nz] = 2.0 * p.r * np.sign(y[nz]) * np.abs(y[nz]) ** (2.0 * p.r - 1.0)
-        return -p.gamma1 * dw * _neg_dg(kind, _parts(kind, y, p)[1])
-
-    return _lifted(kind, y, p, stack)
+    p.validate(kind)
+    ya = np.atleast_1d(np.asarray(y, dtype=float))
+    # sign(y) * |y|^(2r-1), with the y=0 limit convention 0.
+    dw, nz = np.zeros_like(ya), np.abs(ya) > 0
+    dw[nz] = 2.0 * p.r * np.sign(ya[nz]) * np.abs(ya[nz]) ** (2.0 * p.r - 1.0)
+    out = -p.gamma1 * dw * _neg_dg(kind, _parts(kind, ya, p)[1])
+    return out if np.asarray(y).ndim else float(out[0])
 
 
 def _grad_stack(kind, w, ps, lg, gamma1):
@@ -146,32 +136,13 @@ def _grad_stack(kind, w, ps, lg, gamma1):
     return np.stack([-b1, -w * b1, -gamma1 * w * lg * b1])
 
 
-def psi_grad(kind: PersistenceKind, y, p: PersistenceParams):
-    """Gradient of psi in (gamma0, gamma1, r).
-
-    The r-component contains |y|^(2r) * ln(y^2), taken as 0 at y = 0
-    (its limit). For scalar y returns a length-3 array; for array y an
-    array of shape (3, len(y)).
-    """
-    return _lifted(kind, y, p, lambda y: _grad_stack(kind, *_pieces(kind, y, p)))
-
-
-def psi_hess(kind: PersistenceKind, y, p: PersistenceParams):
-    """Symmetric 3x3 Hessian of psi in (gamma0, gamma1, r).
-
-    The chain rule g''(u) du du' - g'(u) d2u of `_hess_stack` gives
-    both forms (the published M2 second-derivative list contains slips;
-    this one is validated against finite differences). For array y the
-    shape is (3, 3, len(y)).
-    """
-    return _lifted(kind, y, p, lambda y: _hess_stack(kind, *_pieces(kind, y, p)))
-
-
 def _hess_stack(kind, w, ps, lg, g1):
     """The psi Hessian stack (3, 3, n) from w = |y|^(2r), psi(y) and lg = ln(y^2).
 
     h = g''(u) du du' - g'(u) d2u with du = (1, w, g1 * w * lg). d2u is w * lg at
     (gamma1, r) and g1 * w * lg^2 at (r, r); both entries are d2u * -g'(u) * (k g1 w c - 1).
+    For both forms this is validated against finite differences; the published M2
+    second-derivative list contains slips.
     """
     b1, (k, q, c) = _neg_dg(kind, ps), _d2g(kind, ps)
     curv = k * g1 * w * c - 1.0

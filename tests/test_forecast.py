@@ -10,7 +10,6 @@ from sdar import (
     SdarParams,
     SetarFit,
     TimeSeries,
-    evaluate_forecasts,
     fit_setar,
     mc_forecast_sdar,
     mc_forecast_setar,
@@ -159,21 +158,16 @@ class TestMeansAgainstReference:
 
 
 class TestEvaluateForecasts:
-    def test_hand_metrics(self):
-        rep = evaluate_forecasts([2.0, 2.5], np.array([1.0, 2.0]))
-        np.testing.assert_allclose(rep.mafe, [1.0, 0.5])
-        np.testing.assert_allclose(rep.msfe, [1.0, 0.25])
-        np.testing.assert_allclose(rep.mape, [0.5, 0.2])
-        assert rep.n_origins == 1
-
-    def test_zero_actual_gives_nan_mape(self):
-        rep = evaluate_forecasts([0.0], np.array([1.0]))
-        assert np.isnan(rep.mape[0])
-        assert rep.mafe[0] == 1.0
+    """The scoring guard of `rolling_evaluate` and the report it returns."""
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_forecasts([1.0], np.zeros(2))
+        # H - 1 or H + 1 means per origin; H - 1 = 1 would broadcast without the guard
+        train, test = TimeSeries(np.zeros(10)), TimeSeries(np.ones(5))
+        for size in (1, 3):
+            for mode in ("single-origin", "rolling-origin"):
+                with pytest.raises(ValueError):
+                    rolling_evaluate([lambda history, z, size=size: np.zeros(size)],
+                                     train, test, H=2, M=5, mode=mode)
 
     def test_csv_layout(self):
         rep = AccuracyReport(
@@ -203,15 +197,25 @@ def seed_of(z):
 
 class TestRollingEvaluate:
     def test_single_origin_equals_direct_eval(self):
+        # (forecast, actuals, mafe, msfe, mape); a zero actual leaves MAPE NaN
+        cases = [
+            ([5.0, 5.0, 5.0], [4.0, 5.0, 6.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0],
+             [0.25, 0.0, 1 / 6]),
+            ([1.0, 2.0], [2.0, 2.5], [1.0, 0.5], [1.0, 0.25], [0.5, 0.2]),
+            ([1.0], [0.0], [1.0], [1.0], [np.nan]),
+        ]
         train = TimeSeries(np.arange(30.0))
-        test = TimeSeries(np.array([4.0, 5.0, 6.0]))
-        (rep,) = rolling_evaluate(
-            [constant_forecaster(5.0)], train, test, H=3, mode="single-origin"
-        )
-        np.testing.assert_allclose(rep.mafe, [1.0, 0.0, 1.0])
-        assert rep.n_origins == 1
+        for forecast, actuals, mafe, msfe, mape in cases:
+            (rep,) = rolling_evaluate(
+                [lambda history, z, f=forecast: np.array(f)], train, TimeSeries(np.array(actuals)),
+                H=len(actuals), mode="single-origin",
+            )
+            np.testing.assert_allclose(rep.mafe, mafe)
+            np.testing.assert_allclose(rep.msfe, msfe)
+            np.testing.assert_allclose(rep.mape, mape)
+            assert rep.n_origins == 1
 
-    def test_single_origin_is_evaluate_forecasts(self):
+    def test_single_origin_scores_mc_forecast_means(self):
         # a forecaster that reads its history and draw, and a zero in
         # the test window, so MAPE has an undefined horizon
         def forecaster(history, z):
@@ -223,14 +227,14 @@ class TestRollingEvaluate:
         (rep,) = rolling_evaluate(
             [forecaster], train, test, H=5, M=500, seed=9, mode="single-origin"
         )
-        direct = evaluate_forecasts(
-            test.values[:5], mc_forecast_sdar(m1_truth(), train.values[-1], 5, 500, 9)
-        )
+        actuals = test.values[:5]
+        err = np.abs(actuals - mc_forecast_sdar(m1_truth(), train.values[-1], 5, 500, 9).means)
         assert np.isnan(rep.mape[2])
-        np.testing.assert_array_equal(rep.mafe, direct.mafe)
-        np.testing.assert_array_equal(rep.msfe, direct.msfe)
-        assert np.array_equal(rep.mape, direct.mape, equal_nan=True)
-        assert rep.n_origins == direct.n_origins == 1
+        np.testing.assert_array_equal(rep.mafe, err)
+        np.testing.assert_array_equal(rep.msfe, err**2)
+        defined = actuals != 0.0
+        np.testing.assert_array_equal(rep.mape[defined], err[defined] / np.abs(actuals[defined]))
+        assert rep.n_origins == 1
 
     def test_rolling_origin_count(self):
         # test window of H+1 points gives exactly 2 origins
@@ -413,18 +417,15 @@ class TestPathLoopParity:
         assert len(reports) == 2
         n = test.values.size - H + 1
         for rep, mod in zip(reports, (model, companion)):
-            ones = [
-                evaluate_forecasts(
-                    test.values[o : o + H],
-                    fan(mod, np.r_[train.values, test.values[:o]], H, M, seed + o),
-                )
-                for o in range(n)
-            ]
+            actuals = [test.values[o : o + H] for o in range(n)]
+            means = [fan(mod, np.r_[train.values, test.values[:o]], H, M, seed + o).means
+                     for o in range(n)]
+            errs = [np.abs(a - m) for a, m in zip(actuals, means)]
             assert rep.n_origins == n
-            assert np.array_equal(rep.mafe, sum(r.mafe for r in ones) / n)
-            assert np.array_equal(rep.msfe, sum(r.msfe for r in ones) / n)
+            assert np.array_equal(rep.mafe, sum(errs) / n)
+            assert np.array_equal(rep.msfe, sum(err**2 for err in errs) / n)
             for h in range(H):
-                defined = [r.mape[h] for r in ones if not np.isnan(r.mape[h])]
+                defined = [err[h] / abs(a[h]) for err, a in zip(errs, actuals) if a[h] != 0.0]
                 assert len(defined) == n - 1  # one origin meets the zero at h
                 assert rep.mape[h] == sum(defined) / len(defined)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import sdar
@@ -30,6 +31,11 @@ def test_every_exported_name_resolves():
     missing = [name for name in sdar.__all__ if not hasattr(sdar, name)]
     assert missing == []
     assert "rolling_evaluate" in sdar.__all__
+    assert sdar.__all__ == sorted(sdar.__all__)
+    assert len(set(sdar.__all__)) == len(sdar.__all__)
+    bound = {name for name, value in vars(sdar).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(sdar.__all__) == bound
 
 
 def test_import_and_non_fitting_commands_load_no_scipy(tmp_path):

@@ -12,10 +12,9 @@ from sdar import (
     fit,
     psi,
     psi_dy,
-    psi_grad,
-    psi_hess,
     simulate,
 )
+from sdar.persistence import _grad_stack, _hess_stack, _pieces
 
 from conftest import m1_truth
 
@@ -53,6 +52,12 @@ def fd_best(f, x, steps=(1e-5, 1e-6, 1e-7)):
     return estimates[int(np.argmin(diffs))]
 
 
+def stacks(kind, y, p):
+    """psi's gradient (3, n) and Hessian (3, 3, n) stacks in (gamma0, gamma1, r) at states y."""
+    pieces = _pieces(kind, np.atleast_1d(np.asarray(y, dtype=float)), p)
+    return _grad_stack(kind, *pieces), _hess_stack(kind, *pieces)
+
+
 class TestPsi:
     def test_m1_at_zero(self):
         p = PersistenceParams(0.5, 0.1, 0.8)
@@ -84,9 +89,7 @@ class TestPsi:
             vals = psi(M2, y, p)
             assert np.all(vals > 0) and np.all(vals <= 1 / p.gamma0 + 1e-15)
 
-    @pytest.mark.parametrize(
-        "func", [psi, psi_dy, psi_grad, psi_hess], ids=lambda f: f.__name__
-    )
+    @pytest.mark.parametrize("func", [psi, psi_dy], ids=lambda f: f.__name__)
     def test_invalid_params(self, func):
         with pytest.raises(ValueError):
             func(M2, 0.0, PersistenceParams(0.5, 0.1, 0.5))
@@ -122,12 +125,12 @@ class TestPsiGrad:
     def test_m1_at_zero(self):
         p = PersistenceParams(0.5, 0.1, 0.8)
         np.testing.assert_allclose(
-            psi_grad(M1, 0.0, p), [-np.exp(-0.5), 0.0, 0.0]
+            stacks(M1, [0.0], p)[0][:, 0], [-np.exp(-0.5), 0.0, 0.0]
         )
 
     def test_m2_hand_values(self):
         p = PersistenceParams(2.0, 1.0, 0.5)
-        g = psi_grad(M2, 2.0, p)
+        g = stacks(M2, [2.0], p)[0][:, 0]
         np.testing.assert_allclose(
             g, [-0.0625, -0.125, -2 * np.log(4) * 0.0625], rtol=1e-12
         )
@@ -138,7 +141,7 @@ class TestPsiGrad:
         for _ in range(30):
             p = random_params(kind, rng)
             y = float(10 ** rng.uniform(-2, 2) * rng.choice([-1, 1]))
-            grad = psi_grad(kind, y, p)
+            grad = stacks(kind, [y], p)[0][:, 0]
             for i, name in enumerate(["gamma0", "gamma1", "r"]):
                 def f(v, i=i):
                     vals = [p.gamma0, p.gamma1, p.r]
@@ -151,7 +154,7 @@ class TestPsiGrad:
 class TestPsiHess:
     def test_m1_at_zero(self):
         p = PersistenceParams(0.5, 0.1, 0.8)
-        h = psi_hess(M1, 0.0, p)
+        h = stacks(M1, [0.0], p)[1][:, :, 0]
         expected = np.zeros((3, 3))
         expected[0, 0] = np.exp(-0.5)
         np.testing.assert_allclose(h, expected)
@@ -161,7 +164,7 @@ class TestPsiHess:
         for _ in range(10):
             p = random_params(kind, rng)
             y = float(rng.uniform(-5, 5))
-            h = psi_hess(kind, y, p)
+            h = stacks(kind, [y], p)[1][:, :, 0]
             np.testing.assert_array_equal(h, h.T)
 
     @pytest.mark.parametrize("kind", [M1, M2])
@@ -169,12 +172,12 @@ class TestPsiHess:
         for _ in range(20):
             p = random_params(kind, rng)
             y = float(10 ** rng.uniform(-3, 3) * rng.choice([-1, 1]))
-            hess = psi_hess(kind, y, p)
+            hess = stacks(kind, [y], p)[1][:, :, 0]
             for j in range(3):
                 def g(v, j=j):
                     vals = [p.gamma0, p.gamma1, p.r]
                     vals[j] = v
-                    return psi_grad(kind, y, PersistenceParams(*vals))
+                    return stacks(kind, [y], PersistenceParams(*vals))[0][:, 0]
                 fd = fd_best(g, [p.gamma0, p.gamma1, p.r][j])
                 np.testing.assert_allclose(
                     hess[:, j], fd, rtol=1e-4, atol=1e-10
@@ -229,9 +232,7 @@ class TestChainRuleHessian:
         y = np.concatenate([rng.normal(0.0, 3.0, 400), [0.0, -0.0, 1e-8, 30.0, -45.0, 60.0]])
         expected = per_form_hessian(kind, y, p)
         assert np.isfinite(expected).all()
-        assert np.array_equal(psi_hess(kind, y, p), expected)
-        for i in (0, 400, 404):  # the scalar path gives the same entries
-            assert np.array_equal(psi_hess(kind, float(y[i]), p), expected[:, :, i])
+        assert np.array_equal(stacks(kind, y, p)[1], expected)
 
     def test_underflow_case_has_zero_psi(self):
         assert psi(M1, 45.0, PersistenceParams(0.4, 1.0, 1.0)) == 0.0
@@ -240,12 +241,10 @@ class TestChainRuleHessian:
     def test_gamma1_entry_is_zero_where_psi_cubed_underflows(self):
         # M2 at y = -1e200: w = 1e154, so 2 w^2 overflows while psi^3 is 0.
         p = PersistenceParams(2.596, 0.00393, 0.385)
-        h = psi_hess(M2, -1e200, p)
-        assert h[1, 1] == 0.0
+        h = stacks(M2, [-1e200, 1.5], p)[1]
+        assert h[1, 1, 0] == 0.0
         assert np.isfinite(h).all()
-        y = np.array([-1e200, 1.5])
-        assert np.array_equal(psi_hess(M2, y, p)[:, :, 1], psi_hess(M2, 1.5, p))
-        assert psi_hess(M2, y, p)[1, 1, 0] == 0.0
+        assert np.array_equal(h[:, :, 1], stacks(M2, [1.5], p)[1][:, :, 0])
 
 
 _PF = PersistenceParams(1.4, 0.07, 0.32)  # valid for both kinds
@@ -253,8 +252,6 @@ _PF = PersistenceParams(1.4, 0.07, 0.32)  # valid for both kinds
 KIND_CALLS = {
     "psi": lambda k: psi(k, 1.0, _PF),
     "psi_dy": lambda k: psi_dy(k, 1.0, _PF),
-    "psi_grad": lambda k: psi_grad(k, 1.0, _PF),
-    "psi_hess": lambda k: psi_hess(k, 1.0, _PF),
     "a1_bound_closed_form": lambda k: a1_bound_closed_form(k, _PF),
     "check_assumptions": lambda k: check_assumptions(k, _PF),
     "SdarParams": lambda k: SdarParams(-1.5, _PF, 0.5, k),
