@@ -157,8 +157,29 @@ class TestMeansAgainstReference:
             assert dev.max() < bound, f"{origin} origin {y_n:.3f}: {dev.round(2)}"
 
 
+def score_one(forecast, actuals):
+    """Score one fixed forecast against ``actuals`` with single-origin `rolling_evaluate`."""
+    (rep,) = rolling_evaluate(
+        [lambda history, z: np.array(forecast, dtype=float)], TimeSeries(np.arange(30.0)),
+        TimeSeries(np.array(actuals, dtype=float)), H=len(actuals), mode="single-origin",
+    )
+    return rep
+
+
 class TestEvaluateForecasts:
-    """The scoring guard of `rolling_evaluate` and the report it returns."""
+    """Single-origin scoring by `rolling_evaluate`, its length guard and the report."""
+
+    def test_hand_metrics(self):
+        rep = score_one([1.0, 2.0], [2.0, 2.5])
+        np.testing.assert_allclose(rep.mafe, [1.0, 0.5])
+        np.testing.assert_allclose(rep.msfe, [1.0, 0.25])
+        np.testing.assert_allclose(rep.mape, [0.5, 0.2])
+        assert rep.n_origins == 1
+
+    def test_zero_actual_gives_nan_mape(self):
+        rep = score_one([1.0], [0.0])
+        assert np.isnan(rep.mape[0])
+        assert rep.mafe[0] == 1.0
 
     def test_length_mismatch(self):
         # H - 1 or H + 1 means per origin; H - 1 = 1 would broadcast without the guard
@@ -197,23 +218,11 @@ def seed_of(z):
 
 class TestRollingEvaluate:
     def test_single_origin_equals_direct_eval(self):
-        # (forecast, actuals, mafe, msfe, mape); a zero actual leaves MAPE NaN
-        cases = [
-            ([5.0, 5.0, 5.0], [4.0, 5.0, 6.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0],
-             [0.25, 0.0, 1 / 6]),
-            ([1.0, 2.0], [2.0, 2.5], [1.0, 0.5], [1.0, 0.25], [0.5, 0.2]),
-            ([1.0], [0.0], [1.0], [1.0], [np.nan]),
-        ]
-        train = TimeSeries(np.arange(30.0))
-        for forecast, actuals, mafe, msfe, mape in cases:
-            (rep,) = rolling_evaluate(
-                [lambda history, z, f=forecast: np.array(f)], train, TimeSeries(np.array(actuals)),
-                H=len(actuals), mode="single-origin",
-            )
-            np.testing.assert_allclose(rep.mafe, mafe)
-            np.testing.assert_allclose(rep.msfe, msfe)
-            np.testing.assert_allclose(rep.mape, mape)
-            assert rep.n_origins == 1
+        rep = score_one([5.0, 5.0, 5.0], [4.0, 5.0, 6.0])
+        np.testing.assert_allclose(rep.mafe, [1.0, 0.0, 1.0])
+        np.testing.assert_allclose(rep.msfe, [1.0, 0.0, 1.0])
+        np.testing.assert_allclose(rep.mape, [0.25, 0.0, 1 / 6])
+        assert rep.n_origins == 1
 
     def test_single_origin_scores_mc_forecast_means(self):
         # a forecaster that reads its history and draw, and a zero in
