@@ -71,29 +71,12 @@ _OWN_FLAGS = {
     ("compare", "--n-train"): dict(type=int, required=True),
 }
 
-_SUBCOMMANDS = {
-    "ingest": ("returns CSV -> weekly (log) realized volatility",
-               "--input --column --week-len --config --out"),
-    "fit-sdar": ("QML fit of the SDAR model",
-                 "--input --column --n-train --kind --n-starts --config --out --seed"),
-    "fit-setar": ("conditional-least-squares SETAR fit",
-                  "--input --column --n-train --max-lag --trim --config --out"),
-    "forecast": ("Monte-Carlo forecast from a saved fit",
-                 "--input --column --fit --horizon --mc --config --out --seed"),
-    "compare": ("SDAR vs SETAR forecast-accuracy comparison",
-                "--input --column --n-train --kind --n-starts --max-lag --trim "
-                "--horizon --mc --mode --config --out --seed"),
-    "check": ("stationarity/ergodicity assumption check",
-              "--kind --fit --gamma0 --gamma1 --r --config"),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdar", description="State-dependent AR modelling toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _SUBCOMMANDS.items():
+    for command, (_, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for flag in flags.split():  # a fresh Action each: _apply_config rewrites defaults
             p.add_argument(flag, **_OWN_FLAGS.get((command, flag)) or _FLAGS[flag])
@@ -307,13 +290,21 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.a1_satisfied else EXIT_ASSUMPTION
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "fit-sdar": cmd_fit_sdar,
-    "fit-setar": cmd_fit_setar,
-    "forecast": cmd_forecast,
-    "compare": cmd_compare,
-    "check": cmd_check,
+# Each subcommand's handler, help line and the flags it reads.
+_SUBCOMMANDS = {
+    "ingest": (cmd_ingest, "returns CSV -> weekly (log) realized volatility",
+               "--input --column --week-len --config --out"),
+    "fit-sdar": (cmd_fit_sdar, "QML fit of the SDAR model",
+                 "--input --column --n-train --kind --n-starts --config --out --seed"),
+    "fit-setar": (cmd_fit_setar, "conditional-least-squares SETAR fit",
+                  "--input --column --n-train --max-lag --trim --config --out"),
+    "forecast": (cmd_forecast, "Monte-Carlo forecast from a saved fit",
+                 "--input --column --fit --horizon --mc --config --out --seed"),
+    "compare": (cmd_compare, "SDAR vs SETAR forecast-accuracy comparison",
+                "--input --column --n-train --kind --n-starts --max-lag --trim "
+                "--horizon --mc --mode --config --out --seed"),
+    "check": (cmd_check, "stationarity/ergodicity assumption check",
+              "--kind --fit --gamma0 --gamma1 --r --config"),
 }
 
 
@@ -323,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args, argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:  # IngestError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -125,15 +125,7 @@ def mc_forecast_sdar(
     the result is deterministic given (fit, y_n, H, M, seed) and
     independent of path evaluation order.
     """
-    z = _normals(M, H, seed)  # lives until return: bench/probe.py's rescaling follows heap state
-    return _summarize(sdar_paths(fit, y_n, z))
-
-
-def _errors(actuals: np.ndarray, means: np.ndarray):
-    """Absolute, squared and absolute percentage errors; the last is NaN at zero actuals."""
-    err = np.abs(actuals - means)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return err, err**2, np.where(actuals != 0.0, err / np.abs(actuals), np.nan)
+    return _summarize(sdar_paths(fit, y_n, _normals(M, H, seed)))
 
 
 def rolling_evaluate(
@@ -183,9 +175,11 @@ def rolling_evaluate(
     means = np.reshape(means, (n_origins, len(forecasters), H))  # raises unless each gives H
     actual = np.lib.stride_tricks.sliding_window_view(test, H)[:n_origins, None]
     nz = actual != 0.0
-    abs_err, sq_err, pct_err = _errors(actual, means)
+    err = np.abs(actual - means)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pct_err = np.where(nz, err / np.abs(actual), 0.0)  # MAPE skips zero actuals
     # Running sums add the origins in order; np.sum may pair them instead.
-    total = np.add.accumulate([abs_err, sq_err, np.where(nz, pct_err, 0.0)], axis=1)[:, -1]
+    total = np.add.accumulate([err, err**2, pct_err], axis=1)[:, -1]
     count = nz.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         mape = np.where(count > 0, total[2] / count, np.nan)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .persistence import PersistenceKind, PersistenceParams, _grad_stack, _hess_stack, _pieces, psi
+from .persistence import (PersistenceKind, PersistenceParams, _grad_stack, _hess_stack, _log_y2,
+                          _parts, psi)
 from .series import TimeSeries
 
 PARAM_NAMES = ("alpha", "gamma0", "gamma1", "r", "sigma")
@@ -119,7 +120,7 @@ def _gaussian_loglik(xi, s):
 def _terms(params, series):
     """Lags, innovations, psi gradient stack (3, n-1) and psi pieces (w, psi, ln y^2, gamma1)."""
     lag = _lag(series)
-    pieces = _pieces(params.kind, lag, params.pf)
+    pieces = (*_parts(params.kind, lag, params.pf), _log_y2(lag), params.pf.gamma1)
     xi = _innovations(params, series, pieces[1])
     return lag, xi, _grad_stack(params.kind, *pieces), pieces
 

@@ -86,11 +86,6 @@ def _parts(kind, y, p):
     return w, 1.0 / (p.gamma0 + p.gamma1 * w)
 
 
-def _pieces(kind, y, p):
-    """(w, psi(y), ln(y^2), gamma1): the arguments of the psi stacks after ``kind``."""
-    return (*_parts(kind, y, p), _log_y2(y), p.gamma1)
-
-
 def _neg_dg(kind, ps):
     """-g'(u) from psi = g(u): psi for M1 (g = exp(-u)), psi^2 for M2 (g = 1/u)."""
     return ps if kind is PersistenceKind.M1 else ps**2

@@ -244,5 +244,4 @@ def mc_forecast_setar(
 
     The paths are `setar_paths` driven by one seeded draw, `_normals(M, H, seed)`.
     """
-    z = _normals(M, H, seed)  # lives until return: bench/probe.py's rescaling follows heap state
-    return _summarize(setar_paths(fit, history, z))
+    return _summarize(setar_paths(fit, history, _normals(M, H, seed)))

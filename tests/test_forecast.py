@@ -1,3 +1,4 @@
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -388,6 +389,26 @@ class TestDrawAndSummary:
         want_std = unsorted.std(axis=1, ddof=1) if M > 1 else np.zeros(H)
         assert np.array_equal(fc.path_std, want_std)
         assert (fc.horizon, fc.M) == (H, M)
+
+
+def setar_3_3():
+    return fit_setar(TimeSeries(gen_setar(600, seed=17)), 3, 3)
+
+
+@pytest.mark.parametrize("make_model", [m1_truth, setar_3_3], ids=["M1", "SETAR(2,3,3)"])
+def test_fan_peak_memory_below_two_and_a_half_path_arrays(make_model):
+    # The draw is freed once the paths exist, so the summary's full-size
+    # temporary takes its place: paths + draw or paths + temporary, never all three.
+    H, M = 52, 20_000
+    model, history = make_model(), gen_setar(600, seed=17)
+    fan(model, history, H, M, seed=3)  # first-call allocations are not the fan's
+    tracemalloc.start()
+    try:
+        fan(model, history, H, M, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * H * M * 8
 
 
 class TestPathLoopParity:

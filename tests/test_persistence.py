@@ -14,7 +14,7 @@ from sdar import (
     psi_dy,
     simulate,
 )
-from sdar.persistence import _grad_stack, _hess_stack, _pieces
+from sdar.persistence import _grad_stack, _hess_stack, _log_y2, _parts
 
 from conftest import m1_truth
 
@@ -54,7 +54,8 @@ def fd_best(f, x, steps=(1e-5, 1e-6, 1e-7)):
 
 def stacks(kind, y, p):
     """psi's gradient (3, n) and Hessian (3, 3, n) stacks in (gamma0, gamma1, r) at states y."""
-    pieces = _pieces(kind, np.atleast_1d(np.asarray(y, dtype=float)), p)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    pieces = (*_parts(kind, y, p), _log_y2(y), p.gamma1)
     return _grad_stack(kind, *pieces), _hess_stack(kind, *pieces)
 
 
