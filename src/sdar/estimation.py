@@ -8,10 +8,12 @@ fixed phi the likelihood is a concave quadratic in alpha and unimodal in
 sigma, so their box-constrained maximizers are clipped closed forms, and
 by Danskin's theorem the profile gradient is the phi block of the full
 gradient. One kernel gives the profile, its value and its gradient, to
-the screen, the optimizer and the final check, computing psi once per
-point and ln(y^2) once per fit. Standard errors are the sandwich form
-(1/n) Hbar^{-1} G Hbar^{-1}, Hbar the empirical mean Hessian and G the
-mean outer product of per-observation scores, both at the estimate.
+the screen, the optimizer and the final check. It builds |y|, ln(y^2) and
+its work buffers once per fit, so a call allocates no per-point array, and
+`fit` validates the box once, not each point. Standard errors are the
+sandwich form (1/n) Hbar^{-1} G Hbar^{-1}, Hbar the empirical mean
+Hessian and G the mean outer product of per-observation scores, both at
+the estimate.
 """
 
 from __future__ import annotations
@@ -252,33 +254,42 @@ def _warm_start(series: TimeSeries, kind: PersistenceKind, box: ParamBox):
 class _ProfileKernel:
     """Profile of the likelihood over phi, and its negated value and phi gradient.
 
-    Built once per fit, it holds the series, its lags and targets and
-    ln(y^2) of the lags. A call evaluates the expressions of ``loglik`` and
-    ``loglik_grad`` at ``profile(phi)`` in their order, so it matches them
-    bit for bit.
+    Built once per fit, it holds the lags, targets, |y| and ln(y^2) of the lags,
+    the box's alpha and sigma bounds as floats, and the work buffers w, psi and
+    the (3, n-1) psi gradient stack, which a call fills in place: it allocates no
+    per-point array and does not validate phi, as `fit` checks the box once. A
+    call evaluates the expressions of ``loglik`` and ``loglik_grad`` at
+    ``profile(phi)`` in their order, so it matches them bit for bit.
     """
 
     def __init__(self, series: TimeSeries, kind: PersistenceKind, box: ParamBox):
-        self.series, self.lag, self.target = series, series.values[:-1], series.values[1:]
-        self.log_y2, self.kind, self.box = _log_y2(self.lag), kind, box
+        self.lag, self.target, self.kind = series.values[:-1], series.values[1:], kind
+        self.abs_lag, self.log_y2, n = np.abs(self.lag), _log_y2(self.lag), self.lag.size
+        self.lo, self.hi = box.lower[[0, 4]].tolist(), box.upper[[0, 4]].tolist()  # alpha, sigma
+        self.w, self.psi, self.stack = np.empty(n), np.empty(n), np.empty((3, n))
+
+    def _eval(self, g0, g1, r):
+        """alpha, sigma, -loglik and -grad at phi = (g0, g1, r), through the buffers."""
+        lag, w, ps, lo, hi = self.lag, self.w, self.psi, self.lo, self.hi
+        _parts(self.kind, self.abs_lag, g0, g1, r, out=(w, ps))
+        stack = _grad_stack(self.kind, w, ps, self.log_y2, g1, out=self.stack)
+        pl = np.multiply(ps, lag, out=ps)  # psi * lag, in both u and xi
+        u = np.subtract(self.target, pl, out=w)
+        # the means are np.mean's sum and division, without its call overhead
+        alpha = min(max(float(u.sum()) / u.size, lo[0]), hi[0])
+        np.square(np.subtract(u, alpha, out=u), out=u)
+        s = min(max(math.sqrt(float(u.sum()) / u.size), lo[1]), hi[1])
+        xi = np.subtract(np.subtract(self.target, alpha, out=w), pl, out=ps)
+        grad = stack @ np.multiply(xi, lag, out=w) / (s * s)
+        return alpha, s, -sdar_model._gaussian_loglik(xi, s), -grad
 
     def profile(self, phi):
-        """Parameters at phi with alpha and sigma profiled out; w and psi of the lags."""
-        kind, lo, hi, lag = self.kind, self.box.lower, self.box.upper, self.lag
-        pf = PersistenceParams(*(float(v) for v in phi))
-        pf.validate(kind)
-        w, ps = _parts(kind, lag, pf)
-        u = self.target - ps * lag
-        alpha = np.clip(np.mean(u), lo[0], hi[0])
-        sigma = np.clip(np.sqrt(np.mean((u - alpha) ** 2)), lo[4], hi[4])
-        return SdarParams(float(alpha), pf, float(sigma), kind), w, ps
+        """`SdarParams` at phi with alpha and sigma profiled out (validated), and ``self(phi)``."""
+        alpha, sigma, *value_grad = self._eval(*map(float, phi))
+        return SdarParams.from_array([alpha, *phi, sigma], self.kind), *value_grad
 
     def __call__(self, phi):
-        params, w, ps = self.profile(phi)
-        lag, s = self.lag, params.sigma
-        xi = sdar_model._innovations(params, self.series, ps)
-        grad = _grad_stack(self.kind, w, ps, self.log_y2, params.pf.gamma1) @ (xi * lag) / (s * s)
-        return -sdar_model._gaussian_loglik(xi, s), -grad
+        return self._eval(*map(float, phi))[2:]
 
 
 def fit(
@@ -304,6 +315,8 @@ def fit(
         raise ValueError(f"n_starts must be >= 0, got {n_starts}")
     if box is None:
         box = ParamBox.default(kind)
+    # each condition bounds a coordinate from below, so the whole box is valid
+    PersistenceParams(*box.lower[_PHI]).validate(kind)
 
     objective = _ProfileKernel(series, kind, box)
     design = _start_points(box, objective.lag, n_starts, seed)

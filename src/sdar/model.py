@@ -119,8 +119,8 @@ def _gaussian_loglik(xi, s):
 
 def _terms(params, series):
     """Lags, innovations, psi gradient stack (3, n-1) and psi pieces (w, psi, ln y^2, gamma1)."""
-    lag = _lag(series)
-    pieces = (*_parts(params.kind, lag, params.pf), _log_y2(lag), params.pf.gamma1)
+    lag, p = _lag(series), params.pf
+    pieces = (*_parts(params.kind, np.abs(lag), p.gamma0, p.gamma1, p.r), _log_y2(lag), p.gamma1)
     xi = _innovations(params, series, pieces[1])
     return lag, xi, _grad_stack(params.kind, *pieces), pieces
 

@@ -78,17 +78,19 @@ def _log_y2(y):
     return out
 
 
-def _parts(kind, y, p):
-    """w = |y|^(2r) (0 at y = 0) and psi(y) = g(gamma0 + gamma1 * w), without validating ``p``."""
-    w = np.abs(y) ** (2.0 * p.r)
+def _parts(kind, ay, gamma0, gamma1, r, out=None):
+    """w = |y|^(2r) (0 at y = 0) and psi = g(gamma0 + gamma1 * w) from ay = |y|, unvalidated."""
+    w, ps = (np.empty_like(ay), np.empty_like(ay)) if out is None else out  # buffers like ay
+    np.power(ay, 2.0 * r, out=w)
+    np.add(gamma0, np.multiply(gamma1, w, out=ps), out=ps)
     if kind is PersistenceKind.M1:
-        return w, np.exp(-(p.gamma0 + p.gamma1 * w))
-    return w, 1.0 / (p.gamma0 + p.gamma1 * w)
+        return w, np.exp(np.negative(ps, out=ps), out=ps)
+    return w, np.divide(1.0, ps, out=ps)
 
 
-def _neg_dg(kind, ps):
+def _neg_dg(kind, ps, out=None):
     """-g'(u) from psi = g(u): psi for M1 (g = exp(-u)), psi^2 for M2 (g = 1/u)."""
-    return ps if kind is PersistenceKind.M1 else ps**2
+    return ps if kind is PersistenceKind.M1 else np.multiply(ps, ps, out=out)
 
 
 def _d2g(kind, ps):
@@ -103,7 +105,7 @@ def _d2g(kind, ps):
 def psi(kind: PersistenceKind, y, p: PersistenceParams):
     """Evaluate the persistence function at state y (scalar or array)."""
     p.validate(kind)
-    _, out = _parts(kind, np.asarray(y, dtype=float), p)
+    _, out = _parts(kind, np.abs(np.asarray(y, dtype=float)), p.gamma0, p.gamma1, p.r)
     return out if out.ndim else float(out)
 
 
@@ -119,16 +121,21 @@ def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
     p.validate(kind)
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     # sign(y) * |y|^(2r-1), with the y=0 limit convention 0.
-    dw, nz = np.zeros_like(ya), np.abs(ya) > 0
-    dw[nz] = 2.0 * p.r * np.sign(ya[nz]) * np.abs(ya[nz]) ** (2.0 * p.r - 1.0)
-    out = -p.gamma1 * dw * _neg_dg(kind, _parts(kind, ya, p)[1])
+    ay = np.abs(ya)
+    dw, nz = np.zeros_like(ya), ay > 0
+    dw[nz] = 2.0 * p.r * np.sign(ya[nz]) * ay[nz] ** (2.0 * p.r - 1.0)
+    out = -p.gamma1 * dw * _neg_dg(kind, _parts(kind, ay, p.gamma0, p.gamma1, p.r)[1])
     return out if np.asarray(y).ndim else float(out[0])
 
 
-def _grad_stack(kind, w, ps, lg, gamma1):
+def _grad_stack(kind, w, ps, lg, gamma1, out=None):
     """The psi gradient stack g'(u) * du, du = (1, w, gamma1 * w * lg), lg = ln(y^2)."""
-    b1 = _neg_dg(kind, ps)
-    return np.stack([-b1, -w * b1, -gamma1 * w * lg * b1])
+    g = np.empty((3, w.size)) if out is None else out  # out: a (3, n) buffer
+    dg = np.negative(_neg_dg(kind, ps, out=g[0]), out=g[0])  # g'(u)
+    np.multiply(w, dg, out=g[1])
+    np.multiply(np.multiply(gamma1, w, out=g[2]), lg, out=g[2])
+    g[2] *= dg
+    return g
 
 
 def _hess_stack(kind, w, ps, lg, g1):

@@ -179,6 +179,13 @@ class TestProfile:
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-4)
 
 
+def with_zeros(series):
+    """The series with exact zeros at 0, 17 and 250, as in `test_series_with_exact_zero`."""
+    y = series.values.copy()
+    y[[0, 17, 250]] = 0.0
+    return TimeSeries(y)
+
+
 def reference_objective(series, kind, box):
     """The profile objective composed from `_profile`, `loglik` and `loglik_grad`."""
 
@@ -255,10 +262,22 @@ class TestProfileKernel:
         box = ParamBox.default(kind)
         self.assert_identical(TimeSeries(y), kind, box, self.random_phis(box, 30, seed=65))
 
-    @pytest.mark.parametrize("kind", [M1, M2])
-    def test_fit_matches_reference_objective(self, kind, monkeypatch):
-        y = simulate(m1_truth(), 400, seed=77)
-        fused = fit(y, kind, n_starts=4, seed=1).to_json()
+    # the last three go through the exact-zero lags, the pinned box of criterion 4
+    # and a sigma floor above the fitted sigma on L-BFGS-B's own iterates
+    @pytest.mark.parametrize(
+        "kind, y, box",
+        [
+            (M1, simulate(m1_truth(), 400, seed=77), None),
+            (M2, simulate(m1_truth(), 400, seed=77), None),
+            (M2, with_zeros(simulate(m1_truth(), 400, seed=77)), None),
+            (M1, TimeSeries(gen_ar1(400, seed=3)),
+             ParamBox.default(M1).pin("gamma1", 0.0).pin("r", 0.5)),
+            (M1, simulate(m1_truth(), 400, seed=77), TestProfile.box_with(4, 2.0, 10.0)),
+        ],
+        ids=[str(M1), str(M2), "exact-zero", "pinned", "sigma-clipped"],
+    )
+    def test_fit_matches_reference_objective(self, kind, y, box, monkeypatch):
+        fused = fit(y, kind, box=box, n_starts=4, seed=1).to_json()
         built = []
 
         class Reference(_ProfileKernel):
@@ -273,8 +292,35 @@ class TestProfileKernel:
                 return self.reference(phi)
 
         monkeypatch.setattr(estimation, "_ProfileKernel", Reference)
-        assert fit(y, kind, n_starts=4, seed=1).to_json() == fused
+        assert fit(y, kind, box=box, n_starts=4, seed=1).to_json() == fused
         assert len(built) == 1
+
+    def test_results_and_series_survive_later_calls(self):
+        y = simulate(m1_truth(), 500, seed=66)
+        before, box = y.values.copy(), ParamBox.default(M1)
+        phis = self.random_phis(box, 100, seed=67)
+        kernel = _ProfileKernel(y, M1, box)
+        grad = kernel(phis[0])[1]
+        kept = grad.copy()
+        for phi in phis[1:]:
+            kernel(phi)
+        assert np.array_equal(grad, kept)
+        assert np.array_equal(y.values, before)
+
+    def test_kernels_on_one_series_do_not_share_buffers(self):
+        y = simulate(m1_truth(), 500, seed=68)
+        kinds = (M1, M2)
+        phis = [self.random_phis(ParamBox.default(k), 20, seed=69) for k in kinds]
+        alone = []
+        for kind, points in zip(kinds, phis):
+            kernel = _ProfileKernel(y, kind, ParamBox.default(kind))
+            alone.append([kernel(phi) for phi in points])
+        kernels = [_ProfileKernel(y, k, ParamBox.default(k)) for k in kinds]
+        for i in range(20):
+            for j in range(2):
+                value, grad = kernels[j](phis[j][i])
+                assert value == alone[j][i][0]
+                assert np.array_equal(grad, alone[j][i][1])
 
 
 class TestAicSelect:
@@ -451,6 +497,32 @@ class TestFitBehaviour:
         y = simulate(m1_truth(), 300, seed=15)
         with pytest.raises(ValueError, match="n_starts"):
             fit(y, M1, n_starts=n_starts)
+
+    # each is a lower bound, so a valid lower corner makes the whole box valid
+    @pytest.mark.parametrize(
+        "kind, i, lower",
+        [(M1, 2, -0.1), (M1, 3, 0.0), (M2, 1, 1.0)],
+        ids=["gamma1-negative", "r-zero", "M2-gamma0-one"],
+    )
+    def test_invalid_box_rejected_before_any_evaluation(self, kind, i, lower, monkeypatch):
+        evaluated = []
+
+        class Spy(_ProfileKernel):
+            def __call__(self, phi):
+                evaluated.append(phi)
+                return super().__call__(phi)
+
+            def profile(self, phi):
+                evaluated.append(phi)
+                return super().profile(phi)
+
+        monkeypatch.setattr(estimation, "_ProfileKernel", Spy)
+        default = ParamBox.default(kind)
+        lo = default.lower.copy()
+        lo[i] = lower
+        with pytest.raises(ValueError):
+            fit(simulate(m1_truth(), 300, seed=15), kind, box=ParamBox(lo, default.upper))
+        assert evaluated == []
 
     def test_zero_n_starts_runs_the_warm_start_only(self, monkeypatch):
         real, runs = estimation.minimize, []

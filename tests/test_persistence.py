@@ -55,7 +55,7 @@ def fd_best(f, x, steps=(1e-5, 1e-6, 1e-7)):
 def stacks(kind, y, p):
     """psi's gradient (3, n) and Hessian (3, 3, n) stacks in (gamma0, gamma1, r) at states y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pieces = (*_parts(kind, y, p), _log_y2(y), p.gamma1)
+    pieces = (*_parts(kind, np.abs(y), p.gamma0, p.gamma1, p.r), _log_y2(y), p.gamma1)
     return _grad_stack(kind, *pieces), _hess_stack(kind, *pieces)
 
 
