@@ -10,14 +10,12 @@ sandwich standard errors.
 Run with: python demos/01_simulate_and_estimate.py
 """
 
-import numpy as np
-
 from sdar import (
     PersistenceKind,
     PersistenceParams,
     SdarParams,
-    aic,
     fit,
+    loglik,
     select_model,
     simulate,
 )
@@ -53,7 +51,5 @@ print(f"\nAIC selects {list(fits)[winner].value}")
 
 # Sanity check: the in-sample likelihood at the estimate should not be
 # below the likelihood at the generating parameters.
-from sdar import loglik
-
 print(f"loglik at truth:    {loglik(truth, series):.3f}")
 print(f"loglik at estimate: {ordered[0].loglik:.3f}")

@@ -2,7 +2,7 @@
 
 A fitted state-dependent AR model is geometrically ergodic when the
 map y -> psi(y) * y is a contraction on average; a sufficient condition
-is sup_y |psi(y) + y psi'(y)| < 1. The package evaluates that supremum
+is sup_y |psi(y)| + |y psi'(y)| < 1. The package evaluates that supremum
 both in closed form and on a dense grid, plus a tail condition that
 psi(y) * y stays bounded.
 

@@ -92,14 +92,9 @@ def persistence_series(params: SdarParams, series: TimeSeries) -> np.ndarray:
     return np.asarray(psi(params.kind, _lag(series), params.pf))
 
 
-def _innovations(params, series, ps):
-    """xi_t = Y_t - alpha - ps_t * Y_{t-1} for t = 2..n, given ps_t = psi(Y_{t-1})."""
-    return series.values[1:] - params.alpha - ps * series.values[:-1]
-
-
 def residuals(params: SdarParams, series: TimeSeries) -> np.ndarray:
     """Innovation estimates xi_t = Y_t - alpha - psi(Y_{t-1}) * Y_{t-1}, t = 2..n."""
-    return _innovations(params, series, persistence_series(params, series))
+    return _terms(params, series)[1]
 
 
 def loglik(params: SdarParams, series: TimeSeries) -> float:
@@ -121,7 +116,7 @@ def _terms(params, series):
     """Lags, innovations, psi gradient stack (3, n-1) and psi pieces (w, psi, ln y^2, gamma1)."""
     lag, p = _lag(series), params.pf
     pieces = (*_parts(params.kind, np.abs(lag), p.gamma0, p.gamma1, p.r), _log_y2(lag), p.gamma1)
-    xi = _innovations(params, series, pieces[1])
+    xi = series.values[1:] - params.alpha - pieces[1] * lag
     return lag, xi, _grad_stack(params.kind, *pieces), pieces
 
 

@@ -198,7 +198,7 @@ def _default_y_max(p: PersistenceParams) -> float:
 def a1_bound_numeric(
     kind: PersistenceKind, p: PersistenceParams, grid_points: int = 100_000
 ) -> float:
-    """Grid maximum of |psi| + |y psi'| on a symmetric log-dense grid."""
+    """Grid maximum of |psi| + |y psi'| on a log-dense grid over y <= 0 (the objective is even)."""
     return _a1_grid_max(kind, p, grid_points)[1]
 
 
@@ -207,7 +207,7 @@ def _a1_grid_max(kind, p, grid_points=100_000):
     if grid_points < 1000:
         raise ValueError("grid_points must be >= 1000")
     half = np.geomspace(1e-12, _default_y_max(p), grid_points // 2)
-    grid = np.concatenate([-half[::-1], [0.0], half])
+    grid = np.concatenate([-half[::-1], [0.0]])  # even bit for bit: psi, psi_dy go through |y|
     vals = np.abs(psi(kind, grid, p)) + np.abs(grid * psi_dy(kind, grid, p))
     k = int(np.argmax(vals))
     return float(grid[k]), float(vals[k])

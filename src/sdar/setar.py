@@ -132,10 +132,8 @@ def fit_setar(
     if best is None:
         raise ValueError("threshold search failed: all regressions singular")
 
-    # Scalar dots for the winner: sigma is independent of stacked sums.
     k, beta1, beta2 = int(ks[best]), beta1[best], beta2[best]
-    ssr1 = yty[k - 1] - beta1 @ b1[best]
-    ssr2 = (yty[-1] - yty[k - 1]) - beta2 @ b2[best]
+    ssr1, ssr2 = ssr1[best], ssr2[best]
     threshold = float(z_sorted[k - 1])
     n1, n2 = k, rows - k
     sigma1 = float(np.sqrt(max(ssr1, 0.0) / n1))

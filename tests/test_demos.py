@@ -14,7 +14,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def run_fresh(argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+    # -W error: warnings fail a demo, as they fail the suite (pyproject filterwarnings)
+    return subprocess.run([sys.executable, "-W", "error", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
 

@@ -105,6 +105,19 @@ class TestResiduals:
         xi = residuals(p, y)
         assert xi[0] == pytest.approx(2.0 - 0.3 - math.exp(-0.7))
 
+    @pytest.mark.parametrize("params", [m1_truth(), m2_truth()], ids=["M1", "M2"])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["no-zero", "zero-lags"])
+    def test_equals_psi_formula_bitwise(self, params, zeros):
+        # residuals share the likelihood's route through _terms; they must
+        # keep the bits of the formula written with the public psi
+        y = simulate(params, 500, seed=8).values.copy()
+        if zeros:
+            y[::37] = 0.0
+        from sdar import psi
+
+        want = y[1:] - params.alpha - psi(params.kind, y[:-1], params.pf) * y[:-1]
+        assert residuals(params, TimeSeries(y)).tobytes() == want.tobytes()
+
 
 class TestLoglik:
     def test_single_obs_closed_form(self):

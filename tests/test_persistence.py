@@ -14,7 +14,8 @@ from sdar import (
     psi_dy,
     simulate,
 )
-from sdar.persistence import _grad_stack, _hess_stack, _log_y2, _parts
+from sdar.persistence import (_Y_MAX_CAP, _default_y_max, _grad_stack, _hess_stack, _log_y2,
+                               _parts)
 
 from conftest import m1_truth
 
@@ -309,6 +310,42 @@ class TestBounds:
     def test_grid_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             a1_bound_numeric(M1, PersistenceParams(0.5, 0.1, 1.0), grid_points=10)
+
+
+def a1_objective(kind, y, p):
+    return np.abs(psi(kind, y, p)) + np.abs(y * psi_dy(kind, y, p))
+
+
+def a1_params(kind, rng, i):
+    """Random A1 test parameters; case i cycles through r <= 1/2 (maximum at y = 0) and r > 1/2,
+    and through gamma1 scaled by 1, 1e-6 and 0."""
+    p = random_params(kind, rng)
+    r = rng.uniform(0.05, 0.5) if i % 2 else rng.uniform(0.5, 2.0)
+    return PersistenceParams(p.gamma0, p.gamma1 * (1.0, 1e-6, 0.0)[i % 3], r)
+
+
+class TestA1Grid:
+    """The grid covers y <= 0 only, because the A1 objective is even in y bit for bit."""
+
+    @pytest.mark.parametrize("kind", [M1, M2])
+    def test_objective_even_bitwise(self, kind, rng):
+        # 0, a subnormal, tiny, random and the grid's largest |y|
+        mags = np.r_[0.0, 5e-324, 1e-300, 1e-12, 10 ** rng.uniform(-8, 12, 200), _Y_MAX_CAP]
+        for i in range(40):
+            p = a1_params(kind, rng, i)
+            assert a1_objective(kind, mags, p).tobytes() == a1_objective(kind, -mags, p).tobytes()
+
+    @pytest.mark.parametrize("kind", [M1, M2])
+    def test_matches_mirrored_grid(self, kind, rng):
+        # the full mirrored grid is the reference; its first argmax is the answer
+        for i in range(12):
+            p = a1_params(kind, rng, i)
+            half = np.geomspace(1e-12, _default_y_max(p), 100_000 // 2)
+            grid = np.concatenate([-half[::-1], [0.0], half])
+            vals = a1_objective(kind, grid, p)
+            k = int(np.argmax(vals))
+            assert a1_bound_numeric(kind, p) == vals[k]
+            assert check_assumptions(kind, p).grid_max_location == grid[k]
 
 
 class TestCheckAssumptions:
