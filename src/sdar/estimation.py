@@ -284,9 +284,9 @@ class _ProfileKernel:
         return alpha, s, -sdar_model._gaussian_loglik(xi, s), -grad
 
     def profile(self, phi):
-        """`SdarParams` at phi with alpha and sigma profiled out (validated), and ``self(phi)``."""
-        alpha, sigma, *value_grad = self._eval(*map(float, phi))
-        return SdarParams.from_array([alpha, *phi, sigma], self.kind), *value_grad
+        """`SdarParams` at phi with alpha and sigma profiled out (validated)."""
+        alpha, sigma = self._eval(*map(float, phi))[:2]
+        return SdarParams.from_array([alpha, *phi, sigma], self.kind)
 
     def __call__(self, phi):
         return self._eval(*map(float, phi))[2:]
@@ -311,6 +311,8 @@ def fit(
         raise ValueError("series too short: need at least 20 observations")
     if np.std(series.values) == 0.0:
         raise ValueError("degenerate series: zero variance")
+    if not isinstance(n_starts, (int, np.integer)):
+        raise ValueError(f"n_starts must be an integer, got {n_starts!r}")
     if n_starts < 0:
         raise ValueError(f"n_starts must be >= 0, got {n_starts}")
     if box is None:
@@ -336,7 +338,7 @@ def fit(
         if res.fun < best_f:
             best_f, best_phi = res.fun, res.x
 
-    params = objective.profile(best_phi)[0]
+    params = objective.profile(best_phi)
     ll = sdar_model.loglik(params, series)
     grad = sdar_model.loglik_grad(params, series)
     hess = sdar_model.loglik_hess(params, series)
@@ -356,6 +358,6 @@ def fit(
         aic=aic(ll, 5),
         n_obs=len(series) - 1,
         converged=_converged(pgrad, hess, ll),
-        n_starts=n_starts,
+        n_starts=int(n_starts),
         grad_norm=float(np.linalg.norm(pgrad)),
     )

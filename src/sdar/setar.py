@@ -74,8 +74,9 @@ def fit_setar(
     series: TimeSeries, d1: int, d2: int, trim: float = 0.15
 ) -> SetarFit:
     """Conditional-least-squares fit of a SETAR(2, d1, d2) model."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("lag orders must be >= 1")
+    if not all(isinstance(d, numbers.Integral) and d >= 1 for d in (d1, d2)):
+        raise ValueError(f"lag orders must be integers >= 1, got {d1!r} and {d2!r}")
+    d1, d2 = int(d1), int(d2)
     if not 0.0 < trim <= 0.25:
         raise ValueError("trim must be in (0, 0.25]")
     y = series.values

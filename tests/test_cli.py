@@ -8,10 +8,28 @@ import numpy as np
 import pytest
 
 import sdar.cli
-from sdar import PersistenceKind, simulate
+from sdar import (
+    FitResult,
+    PersistenceKind,
+    SetarFit,
+    load_returns,
+    mc_forecast_sdar,
+    mc_forecast_setar,
+    rolling_evaluate,
+    sdar_paths,
+    setar_paths,
+    simulate,
+    split,
+)
 from sdar.cli import build_parser, main
+from sdar.forecast import horizon_csv
 
 from conftest import gen_setar, m1_truth
+
+
+def fan_csv(fc):
+    """The ``forecast.csv`` text of a `ForecastResult`, as ``cmd_forecast`` writes it."""
+    return horizon_csv({"mean": fc.means, **{f"q{p:g}": q for p, q in fc.quantiles.items()}})
 
 
 def write_returns(tmp_path, values, name="input.csv", header="value"):
@@ -302,6 +320,28 @@ class TestForecast:
             outs.append((out / "forecast.csv").read_text())
         assert outs[0] == outs[1]
 
+    def test_sdar_forecast_is_the_library_fan(self, sdar_csv, tmp_path):
+        fit_dir, out = tmp_path / "f", tmp_path / "fc"
+        main(["fit-sdar", "--input", str(sdar_csv), "--kind", "M1",
+              "--out", str(fit_dir), "--n-starts", "4"])
+        fit_path = fit_dir / "fit_M1.json"
+        main(["forecast", "--input", str(sdar_csv), "--fit", str(fit_path),
+              "--horizon", "4", "--mc", "300", "--seed", "9", "--out", str(out)])
+        fc = mc_forecast_sdar(FitResult.from_json(fit_path.read_text()),
+                              load_returns(sdar_csv).values[-1], 4, 300, 9)
+        assert (out / "forecast.csv").read_text() == fan_csv(fc)
+
+    def test_setar_forecast_is_the_library_fan(self, tmp_path):
+        path = write_returns(tmp_path, gen_setar(600, seed=4))
+        fit_dir, out = tmp_path / "sf", tmp_path / "sfc"
+        main(["fit-setar", "--input", str(path), "--max-lag", "2", "--out", str(fit_dir)])
+        fit_path = fit_dir / "setar_fit.json"
+        main(["forecast", "--input", str(path), "--fit", str(fit_path),
+              "--horizon", "4", "--mc", "300", "--seed", "9", "--out", str(out)])
+        fc = mc_forecast_setar(SetarFit.from_json(fit_path.read_text()),
+                               load_returns(path).values, 4, 300, 9)
+        assert (out / "forecast.csv").read_text() == fan_csv(fc)
+
     def test_bad_fit_json_exit_1(self, sdar_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -326,6 +366,22 @@ class TestCompare:
                      "fit_sdar.json", "fit_setar.json", "run_manifest.json"):
             assert (out / name).exists()
         assert "median RE(mafe)" in capsys.readouterr().out
+
+    def test_rolling_accuracy_is_the_library_evaluation(self, tmp_path):
+        path = write_returns(tmp_path, simulate(m1_truth(), 450, seed=90).values)
+        out = tmp_path / "cmp"
+        main(["compare", "--input", str(path), "--n-train", "430", "--kind", "M1",
+              "--n-starts", "4", "--max-lag", "2", "--horizon", "5", "--mc", "500",
+              "--seed", "3", "--mode", "rolling-origin", "--out", str(out)])
+        sdar_fit = FitResult.from_json((out / "fit_sdar.json").read_text())
+        setar_fit = SetarFit.from_json((out / "fit_setar.json").read_text())
+        train, test = split(load_returns(path), 430)
+        reports = rolling_evaluate(
+            [lambda history, z: sdar_paths(sdar_fit, history[-1], z).mean(axis=1),
+             lambda history, z: setar_paths(setar_fit, history, z).mean(axis=1)],
+            train, test, 5, 500, 3, "rolling-origin")
+        for name, report in zip(("sdar_accuracy.csv", "setar_accuracy.csv"), reports):
+            assert (out / name).read_text() == report.to_csv()
 
     def test_horizon_exceeding_test_window_exit_1(self, tmp_path, capsys):
         y = simulate(m1_truth(), 450, seed=91).values

@@ -209,7 +209,7 @@ class TestProfileKernel:
         reference = reference_objective(series, kind, box)
         for phi in phis:
             assert np.array_equal(
-                kernel.profile(phi)[0].to_array(), _profile(phi, series, kind, box).to_array()
+                kernel.profile(phi).to_array(), _profile(phi, series, kind, box).to_array()
             )
             value, grad = kernel(phi)
             ref_value, ref_grad = reference(phi)
@@ -496,6 +496,16 @@ class TestFitBehaviour:
     def test_negative_n_starts_rejected(self, n_starts):
         y = simulate(m1_truth(), 300, seed=15)
         with pytest.raises(ValueError, match="n_starts"):
+            fit(y, M1, n_starts=n_starts)
+
+    def test_numpy_integer_n_starts_writes_the_int_json(self):
+        y = simulate(m1_truth(), 300, seed=15)
+        assert fit(y, M1, n_starts=np.int64(4)).to_json() == fit(y, M1, n_starts=4).to_json()
+
+    @pytest.mark.parametrize("n_starts", [4.0, 2.5])
+    def test_float_n_starts_rejected(self, n_starts):
+        y = simulate(m1_truth(), 300, seed=15)
+        with pytest.raises(ValueError, match="n_starts must be an integer"):
             fit(y, M1, n_starts=n_starts)
 
     # each is a lower bound, so a valid lower corner makes the whole box valid

@@ -212,9 +212,9 @@ def constant_forecaster(value):
 
 
 def seed_of(z):
-    """The seed whose ``default_rng`` (M, H) draw is the (H, M) z, transposed."""
+    """The seed whose ``default_rng`` (H, M) draw is z."""
     return next(s for s in range(1000)
-                if np.array_equal(np.random.default_rng(s).standard_normal(z.shape[::-1]).T, z))
+                if np.array_equal(np.random.default_rng(s).standard_normal(z.shape), z))
 
 
 class TestRollingEvaluate:
@@ -343,7 +343,7 @@ def means_forecaster(model):
 def reference_paths(model, history, H, M, seed):
     """The path loops as first written, on (M, H) paths: a pre-scaled SDAR
     draw, and a SETAR lag state rebuilt by ``np.concatenate`` at every step."""
-    eps = np.random.default_rng(seed).standard_normal((M, H))
+    eps = np.random.default_rng(seed).standard_normal((H, M)).T
     paths = np.empty((M, H))
     if not isinstance(model, SetarFit):
         eps = eps * model.sigma
@@ -366,11 +366,11 @@ def reference_paths(model, history, H, M, seed):
 
 
 class TestDrawAndSummary:
-    def test_normals_are_the_transposed_draw(self):
+    def test_normals_are_the_draw(self):
         z = _normals(7, 3, 11)
         assert z.shape == (3, 7)
         assert z.flags.c_contiguous
-        assert np.array_equal(z.T, np.random.default_rng(11).standard_normal((7, 3)))
+        assert np.array_equal(z, np.random.default_rng(11).standard_normal((3, 7)))
 
     @pytest.mark.parametrize("H, M", [(1, 1), (3, 1), (4, 9), (5, 1000)])
     def test_summary_of_unsorted_paths(self, H, M):
@@ -477,7 +477,7 @@ class TestPathLoopParity:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
-            assert np.array_equal(a, np.random.default_rng(5 + o).standard_normal((50, 3)).T)
+            assert np.array_equal(a, np.random.default_rng(5 + o).standard_normal((3, 50)))
 
 
 class TestRelativeEfficiency:

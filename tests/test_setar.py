@@ -141,6 +141,16 @@ class TestFitSetar:
         with pytest.raises(ValueError):
             fit_setar(y, 2, 2, trim=0.4)
 
+    @pytest.mark.parametrize("d1, d2", [(1.5, 2), (2, 2.0)])
+    def test_float_lag_order_rejected(self, d1, d2):
+        y = TimeSeries(gen_setar(500, seed=5))
+        with pytest.raises(ValueError, match="lag orders must be integers"):
+            fit_setar(y, d1, d2)
+
+    def test_numpy_integer_lags_write_the_int_json(self):
+        y = TimeSeries(gen_setar(500, seed=5))
+        assert fit_setar(y, np.int64(3), np.int32(2)).to_json() == fit_setar(y, 3, 2).to_json()
+
     def test_json_roundtrip(self):
         y = gen_setar(500, seed=5)
         fit = fit_setar(TimeSeries(y), 3, 2)
