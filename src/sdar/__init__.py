@@ -39,7 +39,6 @@ from .persistence import (
     a1_bound_numeric,
     check_assumptions,
     psi,
-    psi_dy,
 )
 from .series import (
     IngestError,
@@ -80,7 +79,6 @@ __all__ = [
     "mc_forecast_setar",
     "persistence_series",
     "psi",
-    "psi_dy",
     "realized_volatility",
     "relative_efficiency",
     "residuals",

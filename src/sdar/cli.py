@@ -9,8 +9,8 @@ compare). Each flag is declared once and each subcommand lists the
 flags it reads. --config supplies defaults only, so the required flags
 (--input, forecast --fit, compare --n-train) go on the command line.
 
-Exit codes: 0 success, 1 input error, 2 numerical non-convergence,
-3 assumption failure (check only).
+Exit codes: 0 success, 1 input error (a bad or missing flag included),
+2 numerical non-convergence, 3 assumption failure (check only).
 """
 
 from __future__ import annotations
@@ -71,10 +71,14 @@ _OWN_FLAGS = {
     ("compare", "--n-train"): dict(type=int, required=True),
 }
 
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 like any input error; 2 is non-convergence
+        raise IngestError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sdar", description="State-dependent AR modelling toolkit"
-    )
+    parser = _Parser(prog="sdar", description="State-dependent AR modelling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
@@ -311,9 +315,8 @@ _SUBCOMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(parser, args, argv)
+        args = _apply_config(parser, parser.parse_args(argv), argv)
         return _SUBCOMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:  # IngestError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,14 @@ numpy, so a fit imports ``scipy.optimize`` and never ``scipy.stats``. For
 fixed phi the likelihood is a concave quadratic in alpha and unimodal in
 sigma, so their box-constrained maximizers are clipped closed forms, and
 by Danskin's theorem the profile gradient is the phi block of the full
-gradient. One kernel gives the profile, its value and its gradient, to
-the screen, the optimizer and the final check. It builds |y|, ln(y^2) and
-its work buffers once per fit, so a call allocates no per-point array, and
-`fit` validates the box once, not each point. Standard errors are the
-sandwich form (1/n) Hbar^{-1} G Hbar^{-1}, Hbar the empirical mean
-Hessian and G the mean outer product of per-observation scores, both at
-the estimate.
+gradient. One kernel gives the profile value and gradient to the screen
+and the optimizer, and only the profiled (alpha, sigma) to the final
+check, which reads ``model.loglik``, ``loglik_grad`` and ``loglik_hess``.
+It builds |y|, ln(y^2) and its work buffers once per fit, so a call
+allocates no per-point array, and `fit` validates the box once, not each
+point. Standard errors are the sandwich form (1/n) Hbar^{-1} G Hbar^{-1},
+Hbar the empirical mean Hessian and G the mean outer product of
+per-observation scores, both at the estimate.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def sandwich_cov(
 def minimize(*args, **kwargs):
     """`scipy.optimize.minimize`, imported on the first call.
 
-    ``scipy.optimize`` costs about half a second and 20 MB to import and
+    ``scipy.optimize`` costs about 0.7 s and 50 MB of peak RSS to import and
     only a fit needs it, so ``import sdar`` and the commands that never
     fit do not load it. No part of sdar imports ``scipy.stats``.
     """

@@ -109,25 +109,6 @@ def psi(kind: PersistenceKind, y, p: PersistenceParams):
     return out if out.ndim else float(out)
 
 
-def psi_dy(kind: PersistenceKind, y, p: PersistenceParams):
-    """d psi / dy = g'(u) * gamma1 * d|y|^(2r)/dy.
-
-    At y = 0 with 2r < 1 the derivative of |y|^(2r) is singular; the
-    value returned there is 0, the limit of the product y * psi'(y)
-    divided by y along the even function. Callers needing the singular
-    flag should test ``2 * p.r < 1 and y == 0`` themselves; every
-    internal consumer only uses y * psi'(y), whose limit at 0 is 0.
-    """
-    p.validate(kind)
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    # sign(y) * |y|^(2r-1), with the y=0 limit convention 0.
-    ay = np.abs(ya)
-    dw, nz = np.zeros_like(ya), ay > 0
-    dw[nz] = 2.0 * p.r * np.sign(ya[nz]) * ay[nz] ** (2.0 * p.r - 1.0)
-    out = -p.gamma1 * dw * _neg_dg(kind, _parts(kind, ay, p.gamma0, p.gamma1, p.r)[1])
-    return out if np.asarray(y).ndim else float(out[0])
-
-
 def _grad_stack(kind, w, ps, lg, gamma1, out=None):
     """The psi gradient stack g'(u) * du, du = (1, w, gamma1 * w * lg), lg = ln(y^2)."""
     g = np.empty((3, w.size)) if out is None else out  # out: a (3, n) buffer
@@ -207,10 +188,12 @@ def _a1_grid_max(kind, p, grid_points=100_000):
     if grid_points < 1000:
         raise ValueError("grid_points must be >= 1000")
     half = np.geomspace(1e-12, _default_y_max(p), grid_points // 2)
-    grid = np.concatenate([-half[::-1], [0.0]])  # even bit for bit: psi, psi_dy go through |y|
-    vals = np.abs(psi(kind, grid, p)) + np.abs(grid * psi_dy(kind, grid, p))
+    ay = np.concatenate([half[::-1], [0.0]])  # |y| of the grid y = -ay, ascending in y
+    w, ps = _parts(kind, ay, p.gamma0, p.gamma1, p.r)
+    # psi, -g'(u) >= 0 and y d|y|^(2r)/dy = 2r |y|^(2r), 0 at y = 0 for every r > 0, so
+    vals = ps + 2.0 * p.r * p.gamma1 * w * _neg_dg(kind, ps)  # |psi| + |y psi'(y)|
     k = int(np.argmax(vals))
-    return float(grid[k]), float(vals[k])
+    return 0.0 - float(ay[k]), float(vals[k])  # 0.0 - 0.0 is 0.0, never -0.0
 
 
 def check_assumptions(kind: PersistenceKind, p: PersistenceParams) -> AssumptionReport:

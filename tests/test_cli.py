@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -12,9 +13,12 @@ from sdar import (
     FitResult,
     PersistenceKind,
     SetarFit,
+    TimeSeries,
+    fit_setar,
     load_returns,
     mc_forecast_sdar,
     mc_forecast_setar,
+    realized_volatility,
     rolling_evaluate,
     sdar_paths,
     setar_paths,
@@ -77,6 +81,15 @@ class TestIngest:
         main(["ingest", "--input", str(path), "--week-len", "4",
               "--out", str(out)])
         assert len(read_csv(out / "volatility.csv")) - 1 == 5
+
+    def test_column_index_flag(self, tmp_path):
+        first, last = np.linspace(0.01, 0.2, 20), np.full(20, 0.5)
+        path = tmp_path / "two.csv"
+        path.write_text("a,b\n" + "".join(f"{u:.12g},{v:.12g}\n" for u, v in zip(first, last)))
+        out = tmp_path / "o"
+        assert main(["ingest", "--input", str(path), "--column", "0", "--out", str(out)]) == 0
+        vol = realized_volatility(TimeSeries(first), 5).values
+        assert (out / "volatility.csv").read_text() == sdar.cli._series_csv(vol, "volatility")
 
 
 class TestFitSdar:
@@ -157,6 +170,16 @@ class TestFitSdar:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_config_not_an_object_exit_1(self, sdar_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        out = tmp_path / "fith"
+        rc = main(["fit-sdar", "--input", str(sdar_csv), "--config", str(config),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {config}: config must be a JSON object\n"
+        assert not out.exists()
 
     def test_negative_n_starts_exit_1(self, sdar_csv, tmp_path, capsys):
         out = tmp_path / "fitg"
@@ -401,6 +424,19 @@ class TestCompare:
         assert "error: n_starts must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_converged_sdar_fit_exit_2(self, tmp_path, monkeypatch):
+        real_fit = sdar.cli.fit
+        monkeypatch.setattr(sdar.cli, "fit", lambda *args, **kwargs: dataclasses.replace(
+            real_fit(*args, **kwargs), converged=False))
+        path = write_returns(tmp_path, simulate(m1_truth(), 450, seed=90).values)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", str(path), "--n-train", "430",
+                   "--kind", "M1", "--n-starts", "2", "--max-lag", "1",
+                   "--horizon", "3", "--mc", "100", "--out", str(out)])
+        assert rc == 2
+        assert json.loads((out / "fit_sdar.json").read_text())["converged"] is False
+        assert (out / "re_table.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [("--horizon", "0"), ("--mc", "0"),
                                              ("--horizon", "-2")])
     def test_bad_horizon_or_mc_exit_1_before_fitting(self, tmp_path, capsys,
@@ -501,6 +537,14 @@ class TestCheck:
         assert rc == 1
         assert capsys.readouterr().err == f"error: check takes --fit or {flag}, not both\n"
 
+    def test_setar_fit_exit_1(self, tmp_path, capsys):
+        fit_path = tmp_path / "setar_fit.json"
+        fit_path.write_text(fit_setar(TimeSeries(gen_setar(300, seed=3)), 1, 1).to_json())
+        assert main(["check", "--fit", str(fit_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: check requires an SDAR fit JSON\n"
+
     def test_fit_json_not_an_object_exit_1(self, tmp_path, capsys):
         fit_path = tmp_path / "fit.json"
         fit_path.write_text("[1, 2]")
@@ -536,13 +580,34 @@ class TestFlagSurface:
         ["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32", "--seed", "1"],
         ["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32", "--out", "{tmp}"],
     ], ids=["ingest-seed", "fit-setar-seed", "check-seed", "check-out"])
-    def test_flag_that_would_do_nothing_exit_2(self, sdar_csv, tmp_path, capsys, argv):
+    def test_flag_that_would_do_nothing_exit_1(self, sdar_csv, tmp_path, capsys, argv):
         argv = [a.format(csv=sdar_csv, tmp=tmp_path / "o") for a in argv]
+        assert main(argv) == 1
+        assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit-sdar", "--input", "{csv}", "--kind", "M3", "--out", "{tmp}"],
+         "argument --kind: invalid choice: 'M3'"),
+        (["compare", "--input", "{csv}", "--out", "{tmp}"],
+         "the following arguments are required: --n-train"),
+        (["forecast", "--input", "{csv}", "--fit", "f.json", "--horizon", "abc", "--out", "{tmp}"],
+         "argument --horizon: invalid int value: 'abc'"),
+    ], ids=["bad-choice", "missing-required", "bad-type"])
+    def test_usage_error_exit_1(self, sdar_csv, tmp_path, capsys, argv, message):
+        argv = [a.format(csv=sdar_csv, tmp=tmp_path / "o") for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert exc.value.code == 0
+        assert "usage: sdar" in capsys.readouterr().out
 
     def test_readme_command_lines_parse(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

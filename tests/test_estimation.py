@@ -67,6 +67,16 @@ class TestParamBox:
         with pytest.raises(ValueError, match="sigma"):
             ParamBox(np.array([-1, -1, 0, 0.1, 0.0]), np.ones(5) * 2)
 
+    @pytest.mark.parametrize("n_lower, n_upper", [(4, 5), (5, 6)])
+    def test_rejects_wrong_length(self, n_lower, n_upper):
+        with pytest.raises(ValueError, match="length 5"):
+            ParamBox(np.zeros(n_lower), np.ones(n_upper))
+
+    def test_rejects_zero_volume(self):
+        point = ParamBox.default(M1).lower
+        with pytest.raises(ValueError, match="positive volume"):
+            ParamBox(point, point.copy())
+
 
 class TestStartInterior:
     # gamma1 and r pinned, as in the AR(1) reduction of criterion 4

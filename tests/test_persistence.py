@@ -11,7 +11,6 @@ from sdar import (
     check_assumptions,
     fit,
     psi,
-    psi_dy,
     simulate,
 )
 from sdar.persistence import (_Y_MAX_CAP, _default_y_max, _grad_stack, _hess_stack, _log_y2,
@@ -91,7 +90,7 @@ class TestPsi:
             vals = psi(M2, y, p)
             assert np.all(vals > 0) and np.all(vals <= 1 / p.gamma0 + 1e-15)
 
-    @pytest.mark.parametrize("func", [psi, psi_dy], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("func", [psi], ids=lambda f: f.__name__)
     def test_invalid_params(self, func):
         with pytest.raises(ValueError):
             func(M2, 0.0, PersistenceParams(0.5, 0.1, 0.5))
@@ -99,20 +98,30 @@ class TestPsi:
             func(M1, 0.0, PersistenceParams(0.5, -0.1, 0.5))
         with pytest.raises(ValueError):
             func(M1, 0.0, PersistenceParams(0.5, 0.1, 0.0))
+        with pytest.raises(ValueError, match="gamma0 must be finite"):
+            func(M1, 0.0, PersistenceParams(np.nan, 0.1, 0.5))
 
 
-class TestPsiDy:
-    def test_constant_when_gamma1_zero(self):
+def y_term(kind, y, p):
+    """|y psi'(y)| = 2r gamma1 |y|^(2r) (-g'(u)), with -g'(u) = psi (M1) or psi^2 (M2)."""
+    ps = psi(kind, y, p)
+    return 2.0 * p.r * p.gamma1 * np.abs(y) ** (2.0 * p.r) * (ps if kind is M1 else ps**2)
+
+
+class TestA1YTerm:
+    """The A1 objective's y psi'(y) term, read off the chain rule."""
+
+    def test_zero_when_gamma1_zero(self):
         p = PersistenceParams(0.5, 0.0, 0.8)
-        assert psi_dy(M1, 3.7, p) == 0.0
+        assert y_term(M1, 3.7, p) == 0.0
 
     def test_m2_hand_value(self):
         p = PersistenceParams(2.0, 1.0, 0.5)
-        assert psi_dy(M2, 1.0, p) == pytest.approx(-1 / 9)
+        assert y_term(M2, 1.0, p) == pytest.approx(1 / 9)
 
     def test_m1_hand_value(self):
         p = PersistenceParams(0.0, 1.0, 0.5)
-        assert psi_dy(M1, 1.0, p) == pytest.approx(-np.exp(-1))
+        assert y_term(M1, 1.0, p) == pytest.approx(np.exp(-1))
 
     def test_matches_fd(self, rng):
         for kind in (M1, M2):
@@ -120,7 +129,8 @@ class TestPsiDy:
                 p = random_params(kind, rng)
                 y = float(rng.uniform(0.1, 5.0) * rng.choice([-1, 1]))
                 fd = fd_best(lambda v: psi(kind, v, p), y)
-                assert psi_dy(kind, y, p) == pytest.approx(fd, rel=1e-5)
+                assert y * fd <= 0.0  # psi falls with |y|, so |y psi'| is -y psi'
+                assert y_term(kind, y, p) == pytest.approx(-y * fd, rel=1e-5)
 
 
 class TestPsiGrad:
@@ -253,7 +263,6 @@ _PF = PersistenceParams(1.4, 0.07, 0.32)  # valid for both kinds
 
 KIND_CALLS = {
     "psi": lambda k: psi(k, 1.0, _PF),
-    "psi_dy": lambda k: psi_dy(k, 1.0, _PF),
     "a1_bound_closed_form": lambda k: a1_bound_closed_form(k, _PF),
     "check_assumptions": lambda k: check_assumptions(k, _PF),
     "SdarParams": lambda k: SdarParams(-1.5, _PF, 0.5, k),
@@ -313,7 +322,8 @@ class TestBounds:
 
 
 def a1_objective(kind, y, p):
-    return np.abs(psi(kind, y, p)) + np.abs(y * psi_dy(kind, y, p))
+    """|psi(y)| + |y psi'(y)|; psi >= 0, so its abs is psi itself."""
+    return psi(kind, y, p) + y_term(kind, y, p)
 
 
 def a1_params(kind, rng, i):
@@ -345,7 +355,8 @@ class TestA1Grid:
             vals = a1_objective(kind, grid, p)
             k = int(np.argmax(vals))
             assert a1_bound_numeric(kind, p) == vals[k]
-            assert check_assumptions(kind, p).grid_max_location == grid[k]
+            loc = check_assumptions(kind, p).grid_max_location
+            assert (loc, np.signbit(loc)) == (grid[k], np.signbit(grid[k]))  # 0.0, never -0.0
 
 
 class TestCheckAssumptions:

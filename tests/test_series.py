@@ -53,6 +53,29 @@ class TestLoadReturns:
         series = load_returns(path)
         np.testing.assert_array_equal(series.values, [0.5, -0.3])
 
+    @pytest.mark.parametrize("text, column, match", [
+        ("", None, "empty file, header row required"),
+        ("date,ret\n2020-01-01,0.5\n", 2, "column index 2 out of range"),
+        ("date,ret\n2020-01-01,0.5\n2020-01-02\n", 1, "row 3 has no column 1"),
+        ("ret\n0.5\ninf\n", None, "row 3: non-finite value 'inf'"),
+        ("ret\n\n\n", None, "no data rows"),
+    ], ids=["empty", "index-out-of-range", "short-row", "non-finite", "header-only"])
+    def test_malformed_file_rejected(self, tmp_path, text, column, match):
+        with pytest.raises(IngestError, match=match):
+            load_returns(write(tmp_path, text), column)
+
+
+class TestTimeSeries:
+    @pytest.mark.parametrize("values", [np.ones((2, 3)), np.float64(1.0)], ids=["2-d", "0-d"])
+    def test_not_1d_rejected(self, values):
+        with pytest.raises(IngestError, match="non-empty 1-d array"):
+            TimeSeries(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(IngestError, match="non-finite"):
+            TimeSeries(np.array([1.0, bad, 2.0]))
+
 
 class TestRealizedVolatility:
     def test_hand_arithmetic(self):
@@ -71,6 +94,10 @@ class TestRealizedVolatility:
     def test_insufficient_data(self):
         with pytest.raises(IngestError, match="insufficient"):
             realized_volatility(TimeSeries(np.ones(4)), week_len=5)
+
+    def test_zero_week_len_rejected(self):
+        with pytest.raises(IngestError, match="week_len must be >= 1"):
+            realized_volatility(TimeSeries(np.ones(10)), week_len=0)
 
     def test_nonnegative_and_zero_iff_zero_week(self):
         r = TimeSeries(np.array([0.0, 0.0, 0.1, -0.1]))

@@ -141,6 +141,13 @@ class TestFitSetar:
         with pytest.raises(ValueError):
             fit_setar(y, 2, 2, trim=0.4)
 
+    def test_no_admissible_threshold_rejected(self):
+        # one state above 0: its regime has 1 row, below the p + 2 = 3 minimum
+        y = np.zeros(50)
+        y[25] = 1.0
+        with pytest.raises(ValueError, match="no admissible threshold"):
+            fit_setar(TimeSeries(y), 1, 1)
+
     @pytest.mark.parametrize("d1, d2", [(1.5, 2), (2, 2.0)])
     def test_float_lag_order_rejected(self, d1, d2):
         y = TimeSeries(gen_setar(500, seed=5))
@@ -177,6 +184,10 @@ class TestSelectSetar:
             for d2 in range(1, 4)
         ]
         assert best.aic == pytest.approx(min(all_aics))
+
+    def test_zero_max_lag_rejected(self):
+        with pytest.raises(ValueError, match="max_lag must be >= 1"):
+            select_setar(TimeSeries(gen_setar(200, seed=7)), max_lag=0)
 
 
 class TestMcForecastSetar:
