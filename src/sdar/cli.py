@@ -6,8 +6,9 @@ Every command but check writes its outputs plus a run-manifest JSON
 no --out. Each run is a pure function of its input files and flags;
 --seed exists only where it changes the output (fit-sdar, forecast,
 compare). Each flag is declared once and each subcommand lists the
-flags it reads. --config supplies defaults only, so the required flags
-(--input, forecast --fit, compare --n-train) go on the command line.
+flags it reads. --config entries parse as flags ahead of the command
+line's, which win; the command line alone must hold the required flags
+(--input, forecast --fit, compare --n-train).
 
 Exit codes: 0 success, 1 input error (a bad or missing flag included),
 2 numerical non-convergence, 3 assumption failure (check only).
@@ -82,18 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for flag in flags.split():  # a fresh Action each: _apply_config rewrites defaults
+        for flag in flags.split():
             p.add_argument(flag, **_OWN_FLAGS.get((command, flag)) or _FLAGS[flag])
     return parser
 
 
 def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` again with the --config values as the subcommand's defaults.
+    """Parse ``argv`` again with each --config entry as a ``--flag=value`` token before it.
 
-    argparse itself decides which flags were given (abbreviated ones too),
-    and those win. A value is converted and checked like its flag's text.
-    Keys naming no option of the subcommand are ignored, so one config can
-    serve a whole pipeline; ``command`` and ``config`` are never overridden.
+    argparse converts and checks config values as it does flag text; a flag on the
+    command line (abbreviated ones too) comes later and wins. Keys naming no option
+    of the subcommand are skipped, so one config serves a whole pipeline.
     """
     if not args.config:
         return args
@@ -101,31 +101,19 @@ def _apply_config(parser, args: argparse.Namespace, argv: list[str]) -> argparse
         config = json.load(fh)
     if not isinstance(config, dict):
         raise IngestError(f"{args.config}: config must be a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    subparser = sub.choices[args.command]
-    options = {a.dest: a for a in subparser._actions}
-    defaults = {}
+    tokens = []
     for key, value in config.items():
         key = key.replace("-", "_")
-        if key not in ("command", "config") and hasattr(args, key):
-            defaults[key] = _config_value(options[key], value)
-    subparser.set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
-def _config_value(action: argparse.Action, value):
-    """``value`` converted by its flag's type and checked against its choices."""
-    try:
+        if key in ("command", "config") or not hasattr(args, key):
+            continue
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise TypeError("expected a string or a number")
-        value = (action.type or str)(str(value))
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"choose from {action.choices}")
-    except (TypeError, ValueError) as exc:
-        raise IngestError(
-            f"config value {value!r} for {action.option_strings[0]}: {exc}"
-        ) from None
-    return value
+            raise IngestError(f"{args.config}: {key}: expected a string or a number, got {value!r}")
+        tokens.append(f"--{key.replace('_', '-')}={value}")  # one token: a value may start with -
+    at = argv.index(args.command) + 1
+    try:  # argv alone parsed, so only a config entry can fail here
+        return parser.parse_args(argv[:at] + tokens + argv[at:])
+    except IngestError as exc:
+        raise IngestError(f"{args.config}: {exc}") from None
 
 
 def _load_series(args) -> TimeSeries:

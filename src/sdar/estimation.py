@@ -312,7 +312,7 @@ def fit(
         raise ValueError("series too short: need at least 20 observations")
     if np.std(series.values) == 0.0:
         raise ValueError("degenerate series: zero variance")
-    if not isinstance(n_starts, (int, np.integer)):
+    if isinstance(n_starts, bool) or not isinstance(n_starts, (int, np.integer)):
         raise ValueError(f"n_starts must be an integer, got {n_starts!r}")
     if n_starts < 0:
         raise ValueError(f"n_starts must be >= 0, got {n_starts}")

@@ -82,7 +82,11 @@ def _parts(kind, ay, gamma0, gamma1, r, out=None):
     """w = |y|^(2r) (0 at y = 0) and psi = g(gamma0 + gamma1 * w) from ay = |y|, unvalidated."""
     w, ps = (np.empty_like(ay), np.empty_like(ay)) if out is None else out  # buffers like ay
     np.power(ay, 2.0 * r, out=w)
-    np.add(gamma0, np.multiply(gamma1, w, out=ps), out=ps)
+    if gamma1:
+        np.multiply(gamma1, w, out=ps)
+    else:  # 0 * w is NaN where w overflows to inf; psi is g(gamma0) at every y
+        ps.fill(0.0)
+    np.add(gamma0, ps, out=ps)
     if kind is PersistenceKind.M1:
         return w, np.exp(np.negative(ps, out=ps), out=ps)
     return w, np.divide(1.0, ps, out=ps)
@@ -189,9 +193,12 @@ def _a1_grid_max(kind, p, grid_points=100_000):
         raise ValueError("grid_points must be >= 1000")
     half = np.geomspace(1e-12, _default_y_max(p), grid_points // 2)
     ay = np.concatenate([half[::-1], [0.0]])  # |y| of the grid y = -ay, ascending in y
-    w, ps = _parts(kind, ay, p.gamma0, p.gamma1, p.r)
+    with np.errstate(over="ignore", invalid="ignore"):  # w = |y|^(2r) may overflow to inf
+        w, ps = _parts(kind, ay, p.gamma0, p.gamma1, p.r)
+        w *= 2.0 * p.r * p.gamma1
+        w *= _neg_dg(kind, ps)  # now |y psi'(y)|; NaN (0 * inf) where gamma1 or -g'(u) is 0
     # psi, -g'(u) >= 0 and y d|y|^(2r)/dy = 2r |y|^(2r), 0 at y = 0 for every r > 0, so
-    vals = ps + 2.0 * p.r * p.gamma1 * w * _neg_dg(kind, ps)  # |psi| + |y psi'(y)|
+    vals = np.add(ps, np.fmax(w, 0.0, out=w), out=w)  # |psi| + |y psi'(y)|, the NaNs as 0
     k = int(np.argmax(vals))
     return 0.0 - float(ay[k]), float(vals[k])  # 0.0 - 0.0 is 0.0, never -0.0
 
@@ -211,7 +218,7 @@ def check_assumptions(kind: PersistenceKind, p: PersistenceParams) -> Assumption
     return AssumptionReport(
         sup_bound_closed_form=closed,
         sup_bound_numeric=numeric,
-        a1_satisfied=max(closed, numeric) < 1.0,
+        a1_satisfied=closed < 1.0 and numeric < 1.0,  # False if either is NaN
         a2_satisfied=a2,
         grid_max_location=loc,
     )

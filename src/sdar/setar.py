@@ -23,6 +23,10 @@ from .forecast import ForecastResult, _normals, _summarize
 from .series import TimeSeries
 
 
+def _is_lag(d) -> bool:  # an integer >= 1; a bool is an Integral but not a lag order
+    return isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
+
+
 @dataclass(frozen=True)
 class SetarFit:
     """Estimated two-regime SETAR model."""
@@ -44,7 +48,7 @@ class SetarFit:
     def validate(self) -> None:
         """Check the fields a forecast reads; aic, n_obs and the others are records."""
         for i, d, phi in ((1, self.d1, self.phi1), (2, self.d2, self.phi2)):
-            if not (isinstance(d, numbers.Integral) and d >= 1 and np.shape(phi) == (d,)):
+            if not (_is_lag(d) and np.shape(phi) == (d,)):
                 raise ValueError(f"invalid fit: d{i} = {d!r} is not the int len(phi{i}) >= 1")
         scalars = (self.threshold, self.c1, self.c2, self.sigma1, self.sigma2)
         if not all(isinstance(v, numbers.Real) for v in scalars):
@@ -74,7 +78,7 @@ def fit_setar(
     series: TimeSeries, d1: int, d2: int, trim: float = 0.15
 ) -> SetarFit:
     """Conditional-least-squares fit of a SETAR(2, d1, d2) model."""
-    if not all(isinstance(d, numbers.Integral) and d >= 1 for d in (d1, d2)):
+    if not (_is_lag(d1) and _is_lag(d2)):
         raise ValueError(f"lag orders must be integers >= 1, got {d1!r} and {d2!r}")
     d1, d2 = int(d1), int(d2)
     if not 0.0 < trim <= 0.25:

@@ -91,6 +91,19 @@ class TestIngest:
         vol = realized_volatility(TimeSeries(first), 5).values
         assert (out / "volatility.csv").read_text() == sdar.cli._series_csv(vol, "volatility")
 
+    def test_config_column_name_with_equals(self, tmp_path):
+        # the config entry becomes the one token --column=a=b, split at its first '='
+        first, last = np.linspace(0.01, 0.2, 20), np.full(20, 0.5)
+        path = tmp_path / "two.csv"
+        path.write_text("a=b,c\n" + "".join(f"{u:.12g},{v:.12g}\n" for u, v in zip(first, last)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"column": "a=b"}))
+        out = tmp_path / "o"
+        assert main(["ingest", "--input", str(path), "--config", str(config), "--out", str(out)]) == 0
+        vol = realized_volatility(TimeSeries(first), 5).values
+        assert (out / "volatility.csv").read_text() == sdar.cli._series_csv(vol, "volatility")
+        assert json.loads((out / "run_manifest.json").read_text())["config"]["column"] == "a=b"
+
 
 class TestFitSdar:
     def test_both_kinds_with_selection(self, sdar_csv, tmp_path, capsys):
@@ -167,7 +180,18 @@ class TestFitSdar:
         rc = main(["fit-sdar", "--input", str(sdar_csv),
                    "--config", str(config), "--out", str(out)])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_cannot_supply_required_input(self, sdar_csv, tmp_path, capsys):
+        # the command line is parsed alone first, so --input must be on it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(sdar_csv)}))
+        out = tmp_path / "fiti"
+        rc = main(["fit-sdar", "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: the following arguments are required: --input\n"
         assert not out.exists()
 
 
@@ -482,6 +506,27 @@ class TestCheck:
               "--out", str(fit_dir), "--n-starts", "4"])
         rc = main(["check", "--fit", str(fit_dir / "fit_M1.json")])
         assert rc in (0, 3)
+
+    def test_config_negative_gamma0(self, tmp_path, capsys):
+        # the config entry becomes the one token --gamma0=-0.3, not a flag -0.3
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "M1", "gamma0": -0.3, "gamma1": 0.07, "r": 0.32}))
+        assert main(["check", "--config", str(config)]) == 3
+        out = capsys.readouterr().out
+        assert "sup bound (closed form): 1.349859" in out  # e^0.3
+        assert main(["check", "--kind", "M1", "--gamma0=-0.3", "--gamma1", "0.07",
+                     "--r", "0.32"]) == 3
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("argv, rc, grid", [
+        ("--kind M1 --gamma0 0.4 --gamma1 0 --r 200", 0, "0.670320"),
+        ("--kind M1 --gamma0 0.4 --gamma1 0.07 --r 200", 3, "98.729187"),
+        ("--kind M2 --gamma0 1.5 --gamma1 1e-6 --r 200", 3, "66.793901"),
+    ], ids=["M1-gamma1-zero", "M1", "M2"])
+    def test_grid_where_power_overflows(self, capsys, argv, rc, grid):
+        # |y|^400 overflows on the grid; warnings are errors under pytest
+        assert main(["check", *argv.split()]) == rc
+        assert f"sup bound (grid):        {grid}\n" in capsys.readouterr().out
 
     def test_missing_params_exit_1(self, capsys):
         rc = main(["check", "--kind", "M1", "--gamma0", "0.5"])

@@ -512,7 +512,7 @@ class TestFitBehaviour:
         y = simulate(m1_truth(), 300, seed=15)
         assert fit(y, M1, n_starts=np.int64(4)).to_json() == fit(y, M1, n_starts=4).to_json()
 
-    @pytest.mark.parametrize("n_starts", [4.0, 2.5])
+    @pytest.mark.parametrize("n_starts", [4.0, 2.5, True])
     def test_float_n_starts_rejected(self, n_starts):
         y = simulate(m1_truth(), 300, seed=15)
         with pytest.raises(ValueError, match="n_starts must be an integer"):

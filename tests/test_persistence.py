@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sdar.persistence
 from sdar import (
     ParamBox,
     PersistenceKind,
@@ -89,6 +90,14 @@ class TestPsi:
             p = random_params(M2, rng)
             vals = psi(M2, y, p)
             assert np.all(vals > 0) and np.all(vals <= 1 / p.gamma0 + 1e-15)
+
+    @pytest.mark.parametrize("kind, gamma0, expected", [(M1, 0.4, np.exp(-0.4)), (M2, 1.5, 1 / 1.5)])
+    def test_gamma1_zero_where_power_overflows(self, kind, gamma0, expected):
+        # |y|^400 is inf at every y here; 0 * inf would be NaN
+        y = np.array([10.0, -1e6, 1e300])
+        with np.errstate(over="ignore"):
+            vals = psi(kind, y, PersistenceParams(gamma0, 0.0, 200.0))
+        assert vals.tolist() == [expected] * 3
 
     @pytest.mark.parametrize("func", [psi], ids=lambda f: f.__name__)
     def test_invalid_params(self, func):
@@ -392,6 +401,12 @@ class TestCheckAssumptions:
         assert report.sup_bound_numeric == pytest.approx(expected, rel=1e-12)
         assert report.grid_max_location == 0.0
         assert report.a1_satisfied
+
+    def test_nan_bound_fails_a1(self, monkeypatch):
+        monkeypatch.setattr(sdar.persistence, "_a1_grid_max", lambda kind, p: (0.0, np.nan))
+        report = check_assumptions(M1, PersistenceParams(0.4, 0.07, 0.32))
+        assert report.sup_bound_closed_form < 1.0
+        assert not report.a1_satisfied
 
     def test_ar1_subcase_flags_a2_false(self):
         report = check_assumptions(M1, PersistenceParams(0.5, 0.0, 1.0))

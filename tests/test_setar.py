@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,7 @@ class TestFitSetar:
         with pytest.raises(ValueError, match="no admissible threshold"):
             fit_setar(TimeSeries(y), 1, 1)
 
-    @pytest.mark.parametrize("d1, d2", [(1.5, 2), (2, 2.0)])
+    @pytest.mark.parametrize("d1, d2", [(1.5, 2), (2, 2.0), (True, 2)])
     def test_float_lag_order_rejected(self, d1, d2):
         y = TimeSeries(gen_setar(500, seed=5))
         with pytest.raises(ValueError, match="lag orders must be integers"):
@@ -166,6 +168,13 @@ class TestFitSetar:
         np.testing.assert_array_equal(back.phi1, fit.phi1)
         np.testing.assert_array_equal(back.phi2, fit.phi2)
         assert back.aic == fit.aic
+
+    def test_json_bool_lag_order_rejected(self):
+        # True == 1 == len(phi1), but a bool is not a lag order
+        doc = json.loads(fit_setar(TimeSeries(gen_setar(500, seed=5)), 1, 2).to_json())
+        doc["d1"] = True
+        with pytest.raises(ValueError, match="invalid fit: d1 = True"):
+            SetarFit.from_json(json.dumps(doc))
 
 
 class TestSelectSetar:
