@@ -1,13 +1,14 @@
 """Quasi-maximum-likelihood estimation of SDAR parameters.
 
 Maximization is box-constrained quasi-Newton (L-BFGS-B) on the profile
-likelihood over phi = (gamma0, gamma1, r), polishing an AR(1) warm start
-and the best-screened points of a scale-free Latin hypercube drawn with
-numpy, so a fit imports ``scipy.optimize`` and never ``scipy.stats``. For
-fixed phi the likelihood is a concave quadratic in alpha and unimodal in
-sigma, so their box-constrained maximizers are clipped closed forms, and
-by Danskin's theorem the profile gradient is the phi block of the full
-gradient. One kernel gives the profile value and gradient to the screen
+likelihood over phi = (gamma0, gamma1, r). One start list, an AR(1) point
+and a scale-free Latin hypercube drawn with numpy (so a fit imports
+``scipy.optimize`` and never ``scipy.stats``), is screened by one profile
+evaluation per row, and the 6 best-screened rows are polished in design
+order. For fixed phi the likelihood is a concave quadratic in alpha and
+unimodal in sigma, so their box-constrained maximizers are clipped closed
+forms, and by Danskin's theorem the profile gradient is the phi block of
+the full gradient. One kernel gives the profile value and gradient to the screen
 and the optimizer, and only the profiled (alpha, sigma) to the final
 check, which reads ``model.loglik``, ``loglik_grad`` and ``loglik_hess``.
 It builds |y|, ln(y^2) and its work buffers once per fit, so a call
@@ -32,7 +33,7 @@ from .persistence import (
 )
 from .series import TimeSeries
 
-_POLISHED = 5  # design points polished after the screen, besides the warm start
+_POLISHED = 6  # best-screened start points polished
 _GAIN_REL = 1e-9
 _COND_LIMIT = 1e12
 _PHI = slice(1, 4)  # (gamma0, gamma1, r) within theta
@@ -202,54 +203,41 @@ def _converged(pgrad, hess, ll) -> bool:
     return bool(gain <= _GAIN_REL * max(1.0, abs(ll)))
 
 
-def _start_points(box: ParamBox, lag: np.ndarray, n_starts: int, seed: int) -> np.ndarray:
-    """phi design: a Latin hypercube from ``default_rng(seed)`` in (gamma0, log10 kappa, r).
+def _start_points(
+    series: TimeSeries, kind: PersistenceKind, box: ParamBox, n_starts: int, seed: int
+) -> np.ndarray:
+    """The (1 + n_starts, 3) phi starts, clipped inside the box with pinned coordinates set.
 
-    kappa = gamma1 * c^(2r), c = median |y_{t-1}|, is the state term at a
-    typical lag: ridge optima with gamma1 near 0 and large |y|^(2r) are
-    where a design uniform in gamma1 rarely starts. gamma0 and r are
-    uniform on the box, log10 kappa on [-4, 1]; gamma1 = kappa / c^(2r).
+    Row 0 is the AR(1) least-squares slope mapped into SDAR space, with
+    gamma1 = 0.05 and r = 0.5. The surface has a poor local maximum where the
+    persistence term vanishes and the model degenerates to iid noise around
+    the mean; purely random starts fall into it often enough to matter, so
+    one start from the linear fit keeps the search in the persistent regime.
+    Rows 1.. are a Latin hypercube from ``default_rng(seed)`` in (gamma0,
+    log10 kappa, r). kappa = gamma1 * c^(2r), c = median |y_{t-1}|, is the
+    state term at a typical lag: ridge optima with gamma1 near 0 and large
+    |y|^(2r) are where a design uniform in gamma1 rarely starts. gamma0 and
+    r are uniform on the box, log10 kappa on [-4, 1]; gamma1 = kappa / c^(2r).
     """
+    lag, target = series.values[:-1], series.values[1:]
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(lag.size), lag]), target, rcond=None)
+    ar1 = float(np.clip(coef[1], 1e-3, 1.0 - 1e-3))
     rng = np.random.default_rng(seed)
     strata = rng.permuted(np.tile(np.arange(n_starts), (3, 1)), axis=1).T
     unit = (strata + rng.random((n_starts, 3))) / n_starts
-    lo, span = box.lower[_PHI], (box.upper - box.lower)[_PHI]
+    lo, hi = box.lower[_PHI], box.upper[_PHI]
+    span = hi - lo
     g0, r = lo[0] + unit[:, 0] * span[0], lo[2] + unit[:, 2] * span[2]
     kappa = 10.0 ** (5.0 * unit[:, 1] - 4.0)
     c = float(np.median(np.abs(lag))) or 1.0  # most lags 0: no typical |y| to scale by
     with np.errstate(over="ignore", divide="ignore"):  # extreme c: gamma1 is clipped below
         g1 = kappa / c ** (2.0 * r)
-    return _interior(box, np.column_stack([g0, g1, r]))
-
-
-def _interior(box: ParamBox, pts: np.ndarray) -> np.ndarray:
-    """phi start point(s) with free coordinates clipped inside the box, pinned ones set."""
-    lower, upper = box.lower[_PHI], box.upper[_PHI]
-    span = upper - lower
+    g0_ar1 = -math.log(ar1) if kind is PersistenceKind.M1 else 1.0 / ar1
+    pts = np.vstack([[g0_ar1, 0.05, 0.5], np.column_stack([g0, g1, r])])
     free = span > 0
-    pts[..., free] = np.clip(
-        pts[..., free], (lower + 1e-4 * span)[free], (upper - 1e-4 * span)[free]
-    )
-    pts[..., ~free] = lower[~free]
+    pts[:, free] = np.clip(pts[:, free], (lo + 1e-4 * span)[free], (hi - 1e-4 * span)[free])
+    pts[:, ~free] = lo[~free]
     return pts
-
-
-def _warm_start(series: TimeSeries, kind: PersistenceKind, box: ParamBox):
-    """Data-informed phi start: the AR(1) least-squares slope mapped into SDAR space.
-
-    The surface has a poor local maximum where the persistence term
-    vanishes and the model degenerates to iid noise around the mean;
-    purely random starts fall into it often enough to matter. Seeding
-    one start from the linear fit keeps the search anchored in the
-    persistent regime.
-    """
-    y = series.values
-    lag, target = y[:-1], y[1:]
-    X = np.column_stack([np.ones(lag.size), lag])
-    coef, *_ = np.linalg.lstsq(X, target, rcond=None)
-    phi = float(np.clip(coef[1], 1e-3, 1.0 - 1e-3))
-    g0 = -math.log(phi) if kind is PersistenceKind.M1 else 1.0 / phi
-    return _interior(box, np.array([g0, 0.05, 0.5]))
 
 
 class _ProfileKernel:
@@ -303,10 +291,10 @@ def fit(
     """Fit an SDAR model by multi-start box-constrained QML.
 
     Returns the best local maximum of the profile likelihood in phi over
-    L-BFGS-B runs from an AR(1) warm start and, in design order (ties go
-    to the earlier run), the ``_POLISHED`` (5) points of the ``n_starts``-point
-    `_start_points` design (deterministic given ``seed``) with the best
-    profile values. `converged` is `_converged` at the estimate.
+    L-BFGS-B runs, in design order (ties go to the earlier run), from the
+    ``_POLISHED`` (6) rows with the best profile values of the `_start_points`
+    list: the AR(1) point and ``n_starts`` hypercube points (deterministic
+    given ``seed``). `converged` is `_converged` at the estimate.
     """
     if len(series) < 20:
         raise ValueError("series too short: need at least 20 observations")
@@ -322,11 +310,11 @@ def fit(
     PersistenceParams(*box.lower[_PHI]).validate(kind)
 
     objective = _ProfileKernel(series, kind, box)
-    design = _start_points(box, objective.lag, n_starts, seed)
+    design = _start_points(series, kind, box, n_starts, seed)
     screen = np.array([objective(phi)[0] for phi in design])
     best = np.sort(np.argsort(screen, kind="stable")[:_POLISHED])
     best_f, best_phi = np.inf, None
-    for phi0 in [_warm_start(series, kind, box), *design[best]]:
+    for phi0 in design[best]:
         res = minimize(
             objective,
             phi0,

@@ -109,7 +109,10 @@ def _d2g(kind, ps):
 def psi(kind: PersistenceKind, y, p: PersistenceParams):
     """Evaluate the persistence function at state y (scalar or array)."""
     p.validate(kind)
-    _, out = _parts(kind, np.abs(np.asarray(y, dtype=float)), p.gamma0, p.gamma1, p.r)
+    # |y|^(2r) may overflow to inf, where psi is its exact limit: 0 if gamma1 > 0,
+    # g(gamma0) if gamma1 = 0; _parts stays errstate-free for the profile kernel
+    with np.errstate(over="ignore"):
+        _, out = _parts(kind, np.abs(np.asarray(y, dtype=float)), p.gamma0, p.gamma1, p.r)
     return out if out.ndim else float(out)
 
 

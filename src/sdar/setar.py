@@ -189,8 +189,8 @@ def select_setar(
     series: TimeSeries, max_lag: int = 4, trim: float = 0.15
 ) -> SetarFit:
     """Best-AIC SETAR fit over lag orders d1, d2 in 1..max_lag."""
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
+    if not _is_lag(max_lag):
+        raise ValueError(f"max_lag must be >= 1 and an integer, got {max_lag!r}")
     lags = range(1, max_lag + 1)
     fits = [fit_setar(series, d1, d2, trim) for d1 in lags for d2 in lags]
     return fits[select_model(fits)]

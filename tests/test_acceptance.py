@@ -175,7 +175,7 @@ class TestCriterion3Recovery:
     only what the QMLE promises: the fit's likelihood is at least the
     truth's, and the fitted conditional mean tracks the true one over
     the bulk of each path, which the iid-noise local maximum described
-    in `_warm_start` does not.
+    in `_start_points` does not.
     """
 
     def test_recovery_at_n5000(self):

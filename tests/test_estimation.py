@@ -23,7 +23,7 @@ from sdar import (
 )
 
 from sdar import estimation
-from sdar.estimation import _ProfileKernel, _start_points, _warm_start
+from sdar.estimation import _ProfileKernel, _start_points
 from sdar.model import _per_obs_score
 
 from conftest import gen_ar1, m1_identified_truth, m1_truth
@@ -81,7 +81,8 @@ class TestParamBox:
 class TestStartInterior:
     # gamma1 and r pinned, as in the AR(1) reduction of criterion 4
     BOX = ParamBox.default(M1).pin("gamma1", 0.0).pin("r", 0.7)
-    LAG = simulate(m1_truth(), 400, seed=11).values[:-1]
+    SERIES = simulate(m1_truth(), 400, seed=11)
+    LAG = SERIES.values[:-1]
 
     def assert_interior(self, pts, box=BOX):
         # starts live in phi = (gamma0, gamma1, r)
@@ -96,14 +97,14 @@ class TestStartInterior:
     @pytest.mark.parametrize("box", [BOX, ParamBox.default(M1), ParamBox.default(M2)],
                              ids=["pinned", "M1", "M2"])
     def test_design_inside_box(self, box):
-        self.assert_interior(_start_points(box, self.LAG, 16, seed=2), box)
+        self.assert_interior(_start_points(self.SERIES, M1, box, 16, seed=2), box)
 
     def test_design_one_point_per_stratum(self):
-        # gamma0 and r are stratified on the box, kappa = gamma1 c^(2r) on
+        # rows 1.. stratify gamma0 and r on the box, kappa = gamma1 c^(2r) on
         # log10 in [-4, 1]; gamma1 values clipped into the box leave their stratum
         n, box = 16, ParamBox.default(M1)
         lo, hi = box.lower[1:4], box.upper[1:4]
-        g0, g1, r = _start_points(box, self.LAG, n, seed=3).T
+        g0, g1, r = _start_points(self.SERIES, M1, box, n, seed=3)[1:].T
         for x, i in ((g0, 0), (r, 2)):
             strata = np.floor(n * (x - lo[i]) / (hi[i] - lo[i])).astype(int)
             np.testing.assert_array_equal(np.sort(strata), np.arange(n))
@@ -117,17 +118,21 @@ class TestStartInterior:
 
     def test_same_seed_same_design(self):
         box = ParamBox.default(M2)
-        a = _start_points(box, self.LAG, 12, seed=5)
-        np.testing.assert_array_equal(a, _start_points(box, self.LAG, 12, seed=5))
-        assert not np.array_equal(a, _start_points(box, self.LAG, 12, seed=6))
+        a = _start_points(self.SERIES, M2, box, 12, seed=5)
+        assert a.shape == (13, 3)
+        np.testing.assert_array_equal(a, _start_points(self.SERIES, M2, box, 12, seed=5))
+        assert not np.array_equal(a, _start_points(self.SERIES, M2, box, 12, seed=6))
 
     def test_warm_start(self):
-        # an alternating series has a negative AR(1) slope, which maps
-        # past the gamma0 upper bound and forces the clip
+        # row 0 maps the AR(1) slope; an alternating series has a negative
+        # one, which maps past the gamma0 upper bound and forces the clip
         y = (-1.0) ** np.arange(200) + 0.1 * gen_ar1(200, seed=3)
-        phi = _warm_start(TimeSeries(y), M1, self.BOX)
+        phi = _start_points(TimeSeries(y), M1, self.BOX, 4, seed=0)[0]
         assert phi[0] == pytest.approx(self.BOX.upper[1] - 7e-4)
         self.assert_interior(phi)
+        # in the default box, gamma1 = 0.05 and r = 0.5 lie inside and stay
+        phi = _start_points(TimeSeries(y), M2, ParamBox.default(M2), 0, seed=0)
+        np.testing.assert_array_equal(phi[:, 1:], [[0.05, 0.5]])
 
 
 class TestProfile:
@@ -555,9 +560,9 @@ class TestFitBehaviour:
         y = simulate(m1_truth(), 300, seed=15)
         res = fit(y, M1, n_starts=0)
         assert res.n_starts == 0
-        np.testing.assert_array_equal(runs, [_warm_start(y, M1, ParamBox.default(M1))])
+        np.testing.assert_array_equal(runs, _start_points(y, M1, ParamBox.default(M1), 0, 0))
 
-    def test_polishes_warm_start_and_best_screened_points_in_design_order(self, monkeypatch):
+    def test_polishes_best_screened_starts_in_design_order(self, monkeypatch):
         real, runs = estimation.minimize, []
 
         def counted(*args, **kwargs):
@@ -567,13 +572,12 @@ class TestFitBehaviour:
         monkeypatch.setattr(estimation, "minimize", counted)
         y, box, k = simulate(m1_truth(), 300, seed=15), ParamBox.default(M1), estimation._POLISHED
         fit(y, M1, n_starts=10, seed=4)
-        design = _start_points(box, y.values[:-1], 10, seed=4)
+        design = _start_points(y, M1, box, 10, seed=4)
         screen = np.array([_ProfileKernel(y, M1, box)(phi)[0] for phi in design])
-        np.testing.assert_array_equal(runs[0], _warm_start(y, M1, box))
-        assert len(runs) == 1 + k
-        picked = [int(np.flatnonzero((design == phi).all(axis=1))[0]) for phi in runs[1:]]
+        assert len(runs) == k
+        picked = [int(np.flatnonzero((design == phi).all(axis=1))[0]) for phi in runs]
         assert picked == sorted(picked)
-        rest = np.setdiff1d(np.arange(10), picked)
+        rest = np.setdiff1d(np.arange(11), picked)
         assert screen[picked].max() <= screen[rest].min()
 
     def test_mostly_zero_series_fits_without_warning(self):
@@ -586,7 +590,8 @@ class TestFitBehaviour:
         assert np.isfinite(res.loglik)
         assert np.all(np.isfinite(res.theta_hat.to_array()))
         # gamma1 still spreads over the box instead of piling on its upper clip
-        assert np.unique(_start_points(ParamBox.default(M1), y[:-1], 8, seed=1)[:, 1]).size == 8
+        design = _start_points(TimeSeries(y), M1, ParamBox.default(M1), 8, seed=1)
+        assert np.unique(design[1:, 1]).size == 8
 
     def test_json_roundtrip(self):
         with_se = fit(simulate(m1_truth(), 300, seed=17), M1, n_starts=4, seed=9)

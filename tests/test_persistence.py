@@ -93,11 +93,18 @@ class TestPsi:
 
     @pytest.mark.parametrize("kind, gamma0, expected", [(M1, 0.4, np.exp(-0.4)), (M2, 1.5, 1 / 1.5)])
     def test_gamma1_zero_where_power_overflows(self, kind, gamma0, expected):
-        # |y|^400 is inf at every y here; 0 * inf would be NaN
+        # |y|^400 is inf at every y here; 0 * inf would be NaN. The suite turns
+        # warnings into errors, so this also checks that psi warns of no overflow
         y = np.array([10.0, -1e6, 1e300])
-        with np.errstate(over="ignore"):
-            vals = psi(kind, y, PersistenceParams(gamma0, 0.0, 200.0))
+        vals = psi(kind, y, PersistenceParams(gamma0, 0.0, 200.0))
         assert vals.tolist() == [expected] * 3
+
+    @pytest.mark.parametrize("kind, gamma0", [(M1, 0.4), (M2, 1.5)])
+    def test_gamma1_positive_where_power_overflows(self, kind, gamma0):
+        # gamma1 * inf = inf, so psi is exactly its limit 0, without a warning
+        p = PersistenceParams(gamma0, 0.07, 200.0)
+        assert psi(kind, 10.0, p) == 0.0
+        assert psi(kind, np.array([10.0, -1e6, 1e300]), p).tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("func", [psi], ids=lambda f: f.__name__)
     def test_invalid_params(self, func):

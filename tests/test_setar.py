@@ -150,6 +150,15 @@ class TestFitSetar:
         with pytest.raises(ValueError, match="no admissible threshold"):
             fit_setar(TimeSeries(y), 1, 1)
 
+    def test_all_candidates_singular_rejected(self):
+        # a 0/1 series: the only admissible threshold, 0, leaves the low
+        # regime with y = 0 alone, so its design (1, 0) is singular
+        y = TimeSeries(np.random.default_rng(0).integers(0, 2, 200).astype(float))
+        with pytest.raises(ValueError, match="all regressions singular"):
+            fit_setar(y, 1, 1)
+        with pytest.raises(ValueError, match="all regressions singular"):
+            select_setar(y, max_lag=1)
+
     @pytest.mark.parametrize("d1, d2", [(1.5, 2), (2, 2.0), (True, 2)])
     def test_float_lag_order_rejected(self, d1, d2):
         y = TimeSeries(gen_setar(500, seed=5))
@@ -195,8 +204,10 @@ class TestSelectSetar:
         assert best.aic == pytest.approx(min(all_aics))
 
     def test_zero_max_lag_rejected(self):
-        with pytest.raises(ValueError, match="max_lag must be >= 1"):
-            select_setar(TimeSeries(gen_setar(200, seed=7)), max_lag=0)
+        # a bool is no lag order, and a float bounds no range of lag orders
+        for max_lag in (0, True, 2.5):
+            with pytest.raises(ValueError, match="max_lag must be >= 1"):
+                select_setar(TimeSeries(gen_setar(200, seed=7)), max_lag=max_lag)
 
 
 class TestMcForecastSetar:
