@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sdar import SetarFit, TimeSeries, fit_setar, mc_forecast_setar, select_setar
+import sdar.setar
+from sdar import SetarFit, TimeSeries, fit_setar, mc_forecast_setar, select_setar, setar_paths
+from sdar.estimation import select_model
 
 from conftest import (
     SETAR_C1,
@@ -52,6 +54,25 @@ def brute_force_setar(y, d1, d2, trim=0.15):
     return best
 
 
+def singular_candidate_series():
+    # -1.0 fills 30% of the sample, more than the 15% trim, so the
+    # first admissible candidate's low regime has the single
+    # regressor row (1, -1): its normal equations are exactly singular
+    rng = np.random.default_rng(5)
+    y = np.abs(rng.standard_normal(400)) + 0.5
+    y[rng.random(400) < 0.3] = -1.0
+    return y
+
+
+def asymmetric_setar(n=600, seed=13):
+    """A SETAR(2, 1, 3) path: an AR(1) low regime, an AR(3) high regime."""
+    truth = SetarFit(c1=0.3, phi1=np.array([0.6]), sigma1=0.3,
+                     c2=-0.2, phi2=np.array([0.2, -0.3, 0.4]), sigma2=0.3,
+                     threshold=0.0, d1=1, d2=3, prop_low=0.5, aic=float("nan"), n_obs=0)
+    z = np.random.default_rng(seed).standard_normal((n, 1))
+    return setar_paths(truth, np.zeros(3), z)[:, 0]
+
+
 class TestFitSetar:
     @staticmethod
     def assert_matches_brute_force(y, d1=2, d2=2):
@@ -81,14 +102,8 @@ class TestFitSetar:
             self.assert_matches_brute_force(y)
 
     def test_singular_candidate_is_skipped(self):
-        # -1.0 fills 30% of the sample, more than the 15% trim, so the
-        # first admissible candidate's low regime has the single
-        # regressor row (1, -1): its normal equations are exactly
-        # singular, and the search must skip it rather than raise
-        rng = np.random.default_rng(5)
-        y = np.abs(rng.standard_normal(400)) + 0.5
-        y[rng.random(400) < 0.3] = -1.0
-        fit = self.assert_matches_brute_force(y, 1, 1)
+        # the search must skip the singular candidate rather than raise
+        fit = self.assert_matches_brute_force(singular_candidate_series(), 1, 1)
         assert fit.threshold == 1.2165876558738362
 
     @pytest.mark.parametrize("d1, d2", [(1, 3), (3, 1), (4, 2)])
@@ -193,15 +208,47 @@ class TestSelectSetar:
         assert (best.d1, best.d2) == (3, 3)
 
     def test_returns_min_aic(self):
-        y = gen_setar(800, seed=7)
-        best = select_setar(TimeSeries(y), max_lag=3)
-        series = TimeSeries(y)
-        all_aics = [
-            fit_setar(series, d1, d2).aic
-            for d1 in range(1, 4)
-            for d2 in range(1, 4)
-        ]
-        assert best.aic == pytest.approx(min(all_aics))
+        # the shared designs give the bytes of one fit_setar per pair,
+        # and ties go to the first pair in d1-major order
+        tied = np.round(np.random.default_rng(7).standard_normal(400).cumsum(), 0)
+        for y in (gen_setar(800, seed=7), tied, singular_candidate_series(), asymmetric_setar()):
+            s = TimeSeries(y)
+            for max_lag in range(1, 5):
+                lags = range(1, max_lag + 1)
+                fits = [fit_setar(s, d1, d2) for d1 in lags for d2 in lags]
+                assert select_setar(s, max_lag).to_json() == fits[select_model(fits)].to_json()
+
+    @pytest.mark.parametrize("y, kwargs, message", [
+        (gen_setar(45, seed=1), {"max_lag": 4},
+         "series too short: need at least 50 observations"),
+        (gen_setar(500, seed=1), {"trim": 0.3}, "trim must be in (0, 0.25]"),
+        (np.random.default_rng(0).integers(0, 2, 200).astype(float), {"max_lag": 2},
+         "threshold search failed: all regressions singular"),
+    ])
+    def test_raises_the_first_failing_pair_error(self, y, kwargs, message):
+        s, lags = TimeSeries(y), range(1, kwargs.get("max_lag", 4) + 1)
+        with pytest.raises(ValueError) as first:
+            for d1 in lags:
+                for d2 in lags:
+                    fit_setar(s, d1, d2, kwargs.get("trim", 0.15))
+        with pytest.raises(ValueError) as got:
+            select_setar(s, **kwargs)
+        assert str(got.value) == str(first.value) == message
+
+    def test_one_design_per_lag_order(self, monkeypatch):
+        # 4 sorted designs for 16 pairs; one stacked solve per (p, d, regime)
+        calls = {"_design": 0, "_solve_each": 0}
+        for name in calls:
+            def spy(*args, _real=getattr(sdar.setar, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(sdar.setar, name, spy)
+        s = TimeSeries(gen_setar(800, seed=7))
+        select_setar(s, max_lag=4)
+        assert calls == {"_design": 4, "_solve_each": 2 * (1 + 2 + 3 + 4)}
+        calls.update(_design=0, _solve_each=0)
+        fit_setar(s, 1, 4)
+        assert calls == {"_design": 1, "_solve_each": 2}
 
     def test_zero_max_lag_rejected(self):
         # a bool is no lag order, and a float bounds no range of lag orders
