@@ -218,8 +218,6 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.horizon < 1 or args.mc < 1:
-        raise IngestError("--horizon and --mc must be >= 1")
     series = _load_series(args)
     train, test = split(series, args.n_train)
     if args.horizon > len(test):
@@ -305,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, parser.parse_args(argv), argv)
+        if min(getattr(args, "horizon", 1), getattr(args, "mc", 1)) < 1:  # forecast, compare
+            raise IngestError("--horizon and --mc must be >= 1")
         return _SUBCOMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:  # IngestError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)

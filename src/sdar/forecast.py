@@ -12,7 +12,9 @@ SDAR).
 Paths and draws are (H, M) arrays, one row per step, so every path loop
 steps contiguous rows and every summary reduces along axis 1. The draw
 is ``default_rng(seed).standard_normal((H, M))``: normal [h, m] drives
-path m at step h.
+path m at step h. A fan owns its draw, so its path loop writes step h
+over row h of the draw once it has read it, and the fan lives in that
+one (H, M) array; the public path loops only read theirs.
 """
 
 from __future__ import annotations
@@ -64,15 +66,17 @@ class AccuracyReport:
 def _summarize(paths: np.ndarray) -> ForecastResult:
     """Fan summary of an (H, M) path array: means, `QUANTILE_PROBS` quantiles, path std.
 
-    Sorts each row of ``paths`` in place, after the means and path std
-    are taken, and lets `np.quantile` partition the sorted rows in place,
-    so the caller gets its rows back permuted. The quantiles are those
-    of the unsorted rows, bit for bit: the partition finds the same
-    order statistics, and on sorted rows it finds them faster.
+    Allocates nothing of full size. The path std is taken one row at a
+    time, which sums as ``std(axis=1)`` does, bit for bit, without its
+    (H, M) temporary. Sorts each row of ``paths`` in place, after the
+    means and path std are taken, and lets `np.quantile` partition the
+    sorted rows in place, so the caller gets its rows back permuted. The
+    quantiles are those of the unsorted rows, bit for bit: the partition
+    finds the same order statistics, and on sorted rows it finds them faster.
     """
     H, M = paths.shape
     means = paths.mean(axis=1)
-    path_std = paths.std(axis=1, ddof=1) if M > 1 else np.zeros(H)
+    path_std = np.array([row.std(ddof=1) for row in paths]) if M > 1 else np.zeros(H)
     paths.sort(axis=1)
     quantiles = np.quantile(paths, QUANTILE_PROBS, axis=1, overwrite_input=True)
     return ForecastResult(horizon=H, means=means, quantiles=dict(zip(QUANTILE_PROBS, quantiles)),
@@ -95,15 +99,18 @@ def sdar_paths(fit, y_n: float, z: np.ndarray) -> np.ndarray:
     ``z`` holds the (H, M) standard normals that drive the paths; it is
     only read. ``fit`` may be a `FitResult` or the `SdarParams` directly.
     """
+    return _sdar_paths(fit, y_n, z, np.empty(z.shape))
+
+
+def _sdar_paths(fit, y_n: float, z: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """`sdar_paths` into ``paths``, which may be ``z``: z[h] is read before paths[h] is set."""
     params: SdarParams = getattr(fit, "theta_hat", fit)
     if not np.isfinite(y_n):
         raise ValueError(f"y_n must be finite, got {y_n}")
-    paths = np.empty(z.shape)
     state = np.full(z.shape[1], float(y_n))
     for h in range(z.shape[0]):
-        ps = psi(params.kind, state, params.pf)
-        state = params.alpha + ps * state + z[h] * params.sigma
-        paths[h] = state
+        mean = params.alpha + psi(params.kind, state, params.pf) * state
+        state = np.add(mean, np.multiply(z[h], params.sigma, out=paths[h]), out=paths[h])
     return paths
 
 
@@ -119,9 +126,11 @@ def mc_forecast_sdar(
     ``fit`` may be a `FitResult` or the `SdarParams` directly. All M
     innovation draws come from one seeded stream generated up front, so
     the result is deterministic given (fit, y_n, H, M, seed) and
-    independent of path evaluation order.
+    independent of path evaluation order. The paths are those of
+    `sdar_paths`, written over the draw: the fan holds one (H, M) array.
     """
-    return _summarize(sdar_paths(fit, y_n, _normals(M, H, seed)))
+    z = _normals(M, H, seed)
+    return _summarize(_sdar_paths(fit, y_n, z, z))
 
 
 def rolling_evaluate(

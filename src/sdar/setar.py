@@ -221,9 +221,15 @@ def setar_paths(fit: SetarFit, history, z: np.ndarray) -> np.ndarray:
     step from the previous (simulated) value, with regime-specific
     Gaussian noise ``sigma * z``; ``z`` holds the (H, M) standard
     normals and is only read. At h = 1 the regime is decided by real
-    data, so it is identical across paths. Each regime mean is a sum of
-    lag rows, oldest lag first, with the intercept added last.
+    data, so it is identical across paths. Each path looks its regime's
+    coefficients up in one table; the mean is a sum of lag rows, oldest
+    lag first, with the intercept added last.
     """
+    return _setar_paths(fit, history, z, np.empty(z.shape))
+
+
+def _setar_paths(fit: SetarFit, history, z: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """`setar_paths` into ``paths``, which may be ``z``: z[h] is read before paths[h] is set."""
     fit.validate()
     p = max(fit.d1, fit.d2)
     history = np.asarray(history, dtype=float)
@@ -231,27 +237,22 @@ def setar_paths(fit: SetarFit, history, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"history must contain at least {p} values")
     if not np.isfinite(history[-p:]).all():
         raise ValueError(f"history must be finite in its last {p} values")
-    H, M = z.shape
-    # buf[h : h + p] is the lag state of step h, oldest first; step h
-    # writes row p + h, so the paths fill buf[p:].
-    buf = np.empty((p + H, M))
-    buf[:p] = history[-p:, None]
-
-    def regime_mean(c, phi, lags):
-        # phi[k] weighs y_{t-1-k}, the row lags[-1 - k]
-        total = phi[-1] * lags[-len(phi)]
-        for k in range(len(phi) - 2, -1, -1):
-            total += phi[k] * lags[-1 - k]
-        return total + c
-
-    for h in range(H):
-        lags = buf[h : h + p]
-        low = lags[-1] <= fit.threshold
-        mean = np.where(low, regime_mean(fit.c1, fit.phi1, lags),
-                        regime_mean(fit.c2, fit.phi2, lags))
-        sigma = np.where(low, fit.sigma1, fit.sigma2)
-        buf[p + h] = mean + sigma * z[h]
-    return buf[p:]
+    # Lag k of step h is paths[h - k], or the history row head[h - k] for k > h.
+    head = np.broadcast_to(history[-p:, None], (p, z.shape[1]))
+    # Column 1 is the low regime, 0 the high: the intercept, the weight of each
+    # lag 1..p (0 beyond the regime's order: +-0 on a finite lag) and sigma.
+    tab = np.zeros((p + 2, 2))
+    tab[0], tab[p + 1] = (fit.c2, fit.c1), (fit.sigma2, fit.sigma1)
+    tab[1 : fit.d2 + 1, 0], tab[1 : fit.d1 + 1, 1] = fit.phi2, fit.phi1
+    for h in range(z.shape[0]):
+        lag = {k: paths[h - k] if k <= h else head[h - k] for k in range(1, p + 1)}
+        idx = (lag[1] <= fit.threshold).astype(np.intp)
+        total = tab[p].take(idx) * lag[p]
+        for k in range(p - 1, 0, -1):
+            total += tab[k].take(idx) * lag[k]
+        total += tab[0].take(idx)
+        np.add(total, np.multiply(tab[p + 1].take(idx), z[h], out=paths[h]), out=paths[h])
+    return paths
 
 
 def mc_forecast_setar(
@@ -263,6 +264,8 @@ def mc_forecast_setar(
 ) -> ForecastResult:
     """Monte-Carlo multi-step SETAR forecast from the last observed values.
 
-    The paths are `setar_paths` driven by one seeded draw, `_normals(M, H, seed)`.
+    The paths are `setar_paths` driven by one seeded draw, `_normals(M, H, seed)`,
+    written over the draw: the fan holds one (H, M) array.
     """
-    return _summarize(setar_paths(fit, history, _normals(M, H, seed)))
+    z = _normals(M, H, seed)
+    return _summarize(_setar_paths(fit, history, z, z))

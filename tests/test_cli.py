@@ -396,6 +396,18 @@ class TestForecast:
                    "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value", [("--horizon", "0"), ("--mc", "0"),
+                                             ("--mc", "-3")])
+    def test_bad_horizon_or_mc_exit_1_naming_the_flags(self, sdar_csv, tmp_path, capsys,
+                                                       flag, value):
+        # The check comes before any input is read: the fit file does not exist.
+        out = tmp_path / "fc"
+        rc = main(["forecast", "--input", str(sdar_csv), "--fit", str(tmp_path / "no.json"),
+                   flag, value, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --horizon and --mc must be >= 1\n"
+        assert not out.exists()
+
 
 class TestCompare:
     def test_end_to_end(self, tmp_path, capsys):
