@@ -59,7 +59,7 @@ def forecast_setar(history, z):
 
 
 acc_sdar, acc_setar = rolling_evaluate([forecast_sdar, forecast_setar], train, test,
-                                       H, M=M, seed=1, mode="rolling-origin")
+                                       H, M=M, seed=1)
 print(f"\n{acc_sdar.n_origins} forecast origins")
 
 re = relative_efficiency(acc_sdar, acc_setar)

@@ -56,7 +56,8 @@ _FLAGS = {
     "--trim": dict(type=float, default=0.15),
     "--horizon": dict(type=int, default=20),
     "--mc": dict(type=int, default=10_000),
-    "--mode": dict(choices=["single-origin", "rolling-origin"], default="single-origin"),
+    "--mode": dict(choices=["single-origin", "rolling-origin"], default="single-origin",
+                   help="single-origin scores the first --horizon test values: one origin"),
     "--gamma0": dict(type=float),
     "--gamma1": dict(type=float),
     "--r": dict(type=float),
@@ -224,6 +225,8 @@ def cmd_compare(args) -> int:
         raise IngestError(
             f"horizon {args.horizon} exceeds test window of {len(test)}"
         )
+    if args.mode == "single-origin":  # a window of H values holds one origin
+        test = TimeSeries(test.values[: args.horizon])
 
     _, sdar_fits, best = _fit_kinds(args, train)
     sdar_fit = sdar_fits[best]
@@ -238,7 +241,7 @@ def cmd_compare(args) -> int:
 
     sdar_acc, setar_acc = rolling_evaluate(
         [sdar_forecaster, setar_forecaster], train, test, args.horizon,
-        args.mc, args.seed, args.mode)
+        args.mc, args.seed)
     re = relative_efficiency(sdar_acc, setar_acc)
     _write(args, {"re_table.csv": relative_efficiency_csv(re),
                   "sdar_accuracy.csv": sdar_acc.to_csv(),

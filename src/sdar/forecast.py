@@ -4,10 +4,10 @@ Forecasts iterate the fitted one-step map forward with fresh Gaussian
 innovations along each of M simulated paths; per-horizon point
 forecasts are the path means and intervals come from the empirical
 path distribution. Accuracy is scored per horizon with MAFE, MSFE and
-MAPE over forecast origins, where every model reads the same draw of
-standard normals, and two models are compared through
-relative-efficiency ratios (SDAR over baseline; values below one favor
-SDAR).
+MAPE over every origin the test window holds (one if it holds H values),
+where every model reads the same draw of standard normals, and two
+models are compared through relative-efficiency ratios (SDAR over
+baseline; values below one favor SDAR).
 
 Paths and draws are (H, M) arrays, one row per step, so every path loop
 steps contiguous rows and every summary reduces along axis 1. The draw
@@ -140,9 +140,11 @@ def rolling_evaluate(
     H: int,
     M: int = 10_000,
     seed: int = 0,
-    mode: str = "single-origin",
 ) -> list[AccuracyReport]:
-    """Out-of-sample evaluation of forecasters over the test window.
+    """Score forecasters at every origin whose H targets lie in the test window.
+
+    Origin o forecasts from the realized values up to o, so there are
+    ``len(test) - H + 1`` origins; a window of exactly H values gives one.
 
     Parameters
     ----------
@@ -154,21 +156,13 @@ def rolling_evaluate(
         ``paths.mean(axis=1)``. Origin o draws once, with
         ``_normals(M, H, seed + o)``, and every forecaster gets the
         same draw. Parameters are not re-estimated per origin.
-    mode : {"single-origin", "rolling-origin"}
-        Single-origin scores one forecast, issued from the end of the
-        training window (origin 0 only). Rolling issues a full H-step forecast
-        from every origin whose targets all lie inside the test window
-        (origin o uses the realized test values up to o), giving
-        ``len(test) - H + 1`` origins at every horizon.
 
     Returns one `AccuracyReport` per forecaster, in order.
     """
     train, test = series_train.values, series_test.values
-    if mode not in ("single-origin", "rolling-origin"):
-        raise ValueError(f"unknown mode {mode!r}")
     if test.size < H:
         raise ValueError(f"test window shorter than horizon {H}")
-    n_origins = 1 if mode == "single-origin" else test.size - H + 1
+    n_origins = test.size - H + 1
     values = np.concatenate([train, test])
     values.flags.writeable = False
     means = []

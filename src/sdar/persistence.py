@@ -165,36 +165,32 @@ def a1_bound_closed_form(kind: PersistenceKind, p: PersistenceParams) -> float:
 
 
 _Y_MAX_CAP = 1e12
+_GRID_POINTS = 100_000  # the A1 grid: half of them log-spaced over y < 0, then y = 0
 
 
 def _default_y_max(p: PersistenceParams) -> float:
     # Past 10 * (gamma0/gamma1)^(1/2r) the objective's tails are
     # monotone decreasing, so any interior maximum is captured. With
-    # tiny gamma1 and small r that scale overflows a float, so it is
-    # first sized in log space and capped; for r <= 1/2 the supremum
-    # sits at y = 0 anyway.
+    # tiny gamma1 and small r that scale overflows a float (gamma0/gamma1
+    # is inf for a subnormal gamma1), so it is taken only in log space and
+    # capped; for r <= 1/2 the supremum sits at y = 0 anyway.
     if p.gamma1 <= 0.0:
         return 10.0
     g0 = max(abs(p.gamma0), 1.0)
     log_scale = (math.log(g0) - math.log(p.gamma1)) / (2.0 * p.r)
     if log_scale >= math.log(_Y_MAX_CAP / 10.0):
         return _Y_MAX_CAP
-    scale = (g0 / p.gamma1) ** (1.0 / (2.0 * p.r))
-    return max(10.0 * scale, 10.0)
+    return max(10.0 * math.exp(log_scale), 10.0)
 
 
-def a1_bound_numeric(
-    kind: PersistenceKind, p: PersistenceParams, grid_points: int = 100_000
-) -> float:
+def a1_bound_numeric(kind: PersistenceKind, p: PersistenceParams) -> float:
     """Grid maximum of |psi| + |y psi'| on a log-dense grid over y <= 0 (the objective is even)."""
-    return _a1_grid_max(kind, p, grid_points)[1]
+    return _a1_grid_max(kind, p)[1]
 
 
-def _a1_grid_max(kind, p, grid_points=100_000):
+def _a1_grid_max(kind, p):
     p.validate(kind)
-    if grid_points < 1000:
-        raise ValueError("grid_points must be >= 1000")
-    half = np.geomspace(1e-12, _default_y_max(p), grid_points // 2)
+    half = np.geomspace(1e-12, _default_y_max(p), _GRID_POINTS // 2)
     ay = np.concatenate([half[::-1], [0.0]])  # |y| of the grid y = -ay, ascending in y
     with np.errstate(over="ignore", invalid="ignore"):  # w = |y|^(2r) may overflow to inf
         w, ps = _parts(kind, ay, p.gamma0, p.gamma1, p.r)
@@ -214,6 +210,9 @@ def check_assumptions(kind: PersistenceKind, p: PersistenceParams) -> Assumption
     with gamma1 > 0. With gamma1 = 0 the model degenerates to AR(1) and
     psi(y)*y is linear, hence unbounded; the report flags a2 false but
     estimation remains legitimate in that sub-case.
+
+    Known limit: with a subnormal gamma1, |y|^(2r) overflows before gamma1 |y|^(2r)
+    is O(1), so the grid misses the interior maximum; the closed form gates a1 there.
     """
     closed = a1_bound_closed_form(kind, p)  # validates kind and p
     loc, numeric = _a1_grid_max(kind, p)

@@ -137,7 +137,7 @@ class TestCriterion2Bounds:
                 r = rng.uniform(0.05, 0.5) if trial % 2 else rng.uniform(0.5, 2.5)
                 pf = PersistenceParams(g0, float(rng.uniform(0.0, 2.0)), float(r))
                 closed = a1_bound_closed_form(kind, pf)
-                numeric = a1_bound_numeric(kind, pf, grid_points=100_000)
+                numeric = a1_bound_numeric(kind, pf)
                 worst = max(worst, abs(numeric - closed) / max(closed, 1e-12))
         published = {
             M1: [(0.3734, 0.0649, 0.3198), (0.4453, 0.0736, 0.4036),
@@ -342,8 +342,7 @@ class TestCriterion7CompareHarness:
                 return setar_paths(setar_fit, history, z).mean(axis=1)
 
             acc_sdar, acc_setar = rolling_evaluate(
-                [fc_sdar, fc_setar], train, test, H, M=2000, seed=seed,
-                mode="rolling-origin")
+                [fc_sdar, fc_setar], train, test, H, M=2000, seed=seed)
             re_sum += relative_efficiency(acc_sdar, acc_setar)[1]  # msfe row
         re_avg = re_sum / n_seeds
         wins = int(np.sum(re_avg[1:] < 1.0))  # horizons 2..10

@@ -438,9 +438,26 @@ class TestCompare:
         reports = rolling_evaluate(
             [lambda history, z: sdar_paths(sdar_fit, history[-1], z).mean(axis=1),
              lambda history, z: setar_paths(setar_fit, history, z).mean(axis=1)],
-            train, test, 5, 500, 3, "rolling-origin")
+            train, test, 5, 500, 3)
         for name, report in zip(("sdar_accuracy.csv", "setar_accuracy.csv"), reports):
             assert (out / name).read_text() == report.to_csv()
+
+    def test_single_origin_is_a_window_of_h_values(self, tmp_path):
+        # single-origin on the full file scores what rolling-origin scores on the
+        # file cut to n_train + horizon rows: byte for byte, in every artifact
+        y = simulate(m1_truth(), 450, seed=90).values
+        flags = ["--n-train", "430", "--kind", "M1", "--n-starts", "4", "--max-lag", "2",
+                 "--horizon", "5", "--mc", "500", "--seed", "3"]
+        runs = {"single-origin": write_returns(tmp_path, y, "full.csv"),
+                "rolling-origin": write_returns(tmp_path, y[:435], "cut.csv")}
+        for mode, path in runs.items():
+            rc = main(["compare", "--input", str(path), *flags, "--mode", mode,
+                       "--out", str(tmp_path / mode)])
+            assert rc == 0
+        for name in ("re_table.csv", "sdar_accuracy.csv", "setar_accuracy.csv",
+                     "fit_sdar.json", "fit_setar.json"):
+            single, rolling = ((tmp_path / mode / name).read_bytes() for mode in runs)
+            assert single == rolling, name
 
     def test_horizon_exceeding_test_window_exit_1(self, tmp_path, capsys):
         y = simulate(m1_truth(), 450, seed=91).values

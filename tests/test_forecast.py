@@ -159,16 +159,16 @@ class TestMeansAgainstReference:
 
 
 def score_one(forecast, actuals):
-    """Score one fixed forecast against ``actuals`` with single-origin `rolling_evaluate`."""
+    """Score one fixed forecast against ``actuals``, a window of H values: one origin."""
     (rep,) = rolling_evaluate(
         [lambda history, z: np.array(forecast, dtype=float)], TimeSeries(np.arange(30.0)),
-        TimeSeries(np.array(actuals, dtype=float)), H=len(actuals), mode="single-origin",
+        TimeSeries(np.array(actuals, dtype=float)), H=len(actuals),
     )
     return rep
 
 
 class TestEvaluateForecasts:
-    """Single-origin scoring by `rolling_evaluate`, its length guard and the report."""
+    """One-origin scoring by `rolling_evaluate`, its length guard and the report."""
 
     def test_hand_metrics(self):
         rep = score_one([1.0, 2.0], [2.0, 2.5])
@@ -186,10 +186,10 @@ class TestEvaluateForecasts:
         # H - 1 or H + 1 means per origin; H - 1 = 1 would broadcast without the guard
         train, test = TimeSeries(np.zeros(10)), TimeSeries(np.ones(5))
         for size in (1, 3):
-            for mode in ("single-origin", "rolling-origin"):
+            for window in (test, TimeSeries(test.values[:2])):  # four origins, then one
                 with pytest.raises(ValueError):
                     rolling_evaluate([lambda history, z, size=size: np.zeros(size)],
-                                     train, test, H=2, M=5, mode=mode)
+                                     train, window, H=2, M=5)
 
     def test_csv_layout(self):
         rep = AccuracyReport(
@@ -233,10 +233,8 @@ class TestRollingEvaluate:
 
         y = simulate(m1_truth(), 220, seed=41).values
         train = TimeSeries(y[:200])
-        test = TimeSeries(np.r_[y[200:202], 0.0, y[203:]])
-        (rep,) = rolling_evaluate(
-            [forecaster], train, test, H=5, M=500, seed=9, mode="single-origin"
-        )
+        test = TimeSeries(np.r_[y[200:202], 0.0, y[203:205]])  # H values: one origin
+        (rep,) = rolling_evaluate([forecaster], train, test, H=5, M=500, seed=9)
         actuals = test.values[:5]
         err = np.abs(actuals - mc_forecast_sdar(m1_truth(), train.values[-1], 5, 500, 9).means)
         assert np.isnan(rep.mape[2])
@@ -250,9 +248,7 @@ class TestRollingEvaluate:
         # test window of H+1 points gives exactly 2 origins
         train = TimeSeries(np.zeros(20))
         test = TimeSeries(np.arange(1.0, 5.0))  # 4 points
-        (rep,) = rolling_evaluate(
-            [constant_forecaster(0.0)], train, test, H=3, mode="rolling-origin"
-        )
+        (rep,) = rolling_evaluate([constant_forecaster(0.0)], train, test, H=3)
         assert rep.n_origins == 2
         # origins forecast (1,2,3) and (2,3,4); mean abs err = (1.5, 2.5, 3.5)
         np.testing.assert_allclose(rep.mafe, [1.5, 2.5, 3.5])
@@ -270,7 +266,7 @@ class TestRollingEvaluate:
 
         train = TimeSeries(np.zeros(10))
         test = TimeSeries(np.ones(4))
-        rolling_evaluate([spy], train, test, H=2, seed=100, mode="rolling-origin")
+        rolling_evaluate([spy], train, test, H=2, seed=100)
         assert [s for _, s in seen] == [100, 101, 102]
         for o, (history, _) in enumerate(seen):
             assert np.array_equal(history, np.r_[np.zeros(10), np.ones(o)])
@@ -279,17 +275,7 @@ class TestRollingEvaluate:
         train = TimeSeries(np.zeros(10))
         test = TimeSeries(np.ones(2))
         with pytest.raises(ValueError):
-            rolling_evaluate(
-                [constant_forecaster(0.0)], train, test, H=5, mode="single-origin"
-            )
-
-    def test_unknown_mode_rejected(self):
-        train = TimeSeries(np.zeros(10))
-        test = TimeSeries(np.ones(5))
-        with pytest.raises(ValueError, match="mode"):
-            rolling_evaluate(
-                [constant_forecaster(0.0)], train, test, H=2, mode="expanding"
-            )
+            rolling_evaluate([constant_forecaster(0.0)], train, test, H=5)
 
     @pytest.mark.parametrize("H, M", [(0, 10), (2, 0), (-2, 10)])
     def test_bad_horizon_or_path_count_rejected(self, H, M):
@@ -306,13 +292,8 @@ class TestRollingEvaluate:
         def sdar_forecaster(history, z):
             return sdar_paths(p, history[-1], z).mean(axis=1)
 
-        (rep,) = rolling_evaluate(
-            [sdar_forecaster], train, test, H=4, M=2000, seed=50,
-            mode="rolling-origin",
-        )
-        (flat,) = rolling_evaluate(
-            [constant_forecaster(0.0)], train, test, H=4, mode="rolling-origin"
-        )
+        (rep,) = rolling_evaluate([sdar_forecaster], train, test, H=4, M=2000, seed=50)
+        (flat,) = rolling_evaluate([constant_forecaster(0.0)], train, test, H=4)
         assert np.all(rep.msfe < flat.msfe)
 
 
@@ -450,8 +431,7 @@ class TestPathLoopParity:
         H, M, seed = 4, 300, 31
         reports = rolling_evaluate(
             [means_forecaster(model), means_forecaster(companion)],
-            train, test, H, M, seed, mode="rolling-origin",
-        )
+            train, test, H, M, seed)
         assert len(reports) == 2
         n = test.values.size - H + 1
         for rep, mod in zip(reports, (model, companion)):
@@ -475,7 +455,7 @@ class TestPathLoopParity:
             return np.zeros(z.shape[0])
 
         train, test = self.window()
-        rolling_evaluate([spy, spy], train, test, H=3, M=50, seed=5, mode="rolling-origin")
+        rolling_evaluate([spy, spy], train, test, H=3, M=50, seed=5)
         n = test.values.size - 3 + 1
         assert len(seen) == 2 * n
         for o in range(n):
