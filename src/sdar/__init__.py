@@ -2,7 +2,7 @@
 
 Simulation, quasi-maximum-likelihood estimation with analytic
 derivatives and sandwich standard errors, stationarity/ergodicity
-checks, Monte-Carlo multi-step forecasting, a two-regime SETAR
+checks, Monte-Carlo and exact-mean multi-step forecasting, a two-regime SETAR
 baseline, and a forecast-accuracy comparison harness.
 """
 
@@ -17,6 +17,7 @@ from .estimation import (
 from .forecast import (
     AccuracyReport,
     ForecastResult,
+    exact_means_sdar,
     mc_forecast_sdar,
     relative_efficiency,
     rolling_evaluate,
@@ -48,7 +49,14 @@ from .series import (
     realized_volatility,
     split,
 )
-from .setar import SetarFit, fit_setar, mc_forecast_setar, select_setar, setar_paths
+from .setar import (
+    SetarFit,
+    exact_means_setar,
+    fit_setar,
+    mc_forecast_setar,
+    select_setar,
+    setar_paths,
+)
 
 __version__ = "0.1.0"
 
@@ -68,6 +76,8 @@ __all__ = [
     "a1_bound_numeric",
     "aic",
     "check_assumptions",
+    "exact_means_sdar",
+    "exact_means_setar",
     "fit",
     "fit_setar",
     "load_returns",

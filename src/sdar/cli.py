@@ -26,17 +26,17 @@ import numpy as np
 from . import __version__
 from .estimation import FitResult, fit, select_model
 from .forecast import (
+    exact_means_sdar,
     horizon_csv,
     mc_forecast_sdar,
     relative_efficiency,
     relative_efficiency_csv,
     rolling_evaluate,
-    sdar_paths,
 )
 from .model import SdarParams, persistence_series
 from .persistence import PersistenceKind, PersistenceParams, check_assumptions
 from .series import IngestError, TimeSeries, load_returns, log_transform, realized_volatility, split
-from .setar import SetarFit, mc_forecast_setar, select_setar, setar_paths
+from .setar import SetarFit, exact_means_setar, mc_forecast_setar, select_setar, setar_paths
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -55,7 +55,8 @@ _FLAGS = {
     "--max-lag": dict(type=int, default=4),
     "--trim": dict(type=float, default=0.15),
     "--horizon": dict(type=int, default=20),
-    "--mc": dict(type=int, default=10_000),
+    "--mc": dict(type=int, default=10_000, help="Monte-Carlo paths; compare draws them only "
+                 "for a SETAR with max(d1, d2) > 1, whose means are not exact"),
     "--mode": dict(choices=["single-origin", "rolling-origin"], default="single-origin",
                    help="single-origin scores the first --horizon test values: one origin"),
     "--gamma0": dict(type=float),
@@ -232,16 +233,19 @@ def cmd_compare(args) -> int:
     sdar_fit = sdar_fits[best]
     setar_fit = select_setar(train, max_lag=args.max_lag, trim=args.trim)
 
-    # Both models read the same draw at each origin; only the means are scored.
-    def sdar_forecaster(history, z):
-        return sdar_paths(sdar_fit, history[-1], z).mean(axis=1)
-
-    def setar_forecaster(history, z):
-        return setar_paths(setar_fit, history, z).mean(axis=1)
+    # Only the means are scored. SDAR's are exact, and so are SETAR's when it is
+    # first-order; a SETAR of higher order averages --mc paths of one draw per origin.
+    values = np.concatenate([train.values, test.values])  # every origin lies in it
+    sdar_forecaster = exact_means_sdar(sdar_fit, values, args.horizon)
+    if max(setar_fit.d1, setar_fit.d2) == 1:
+        setar_forecaster, mc = exact_means_setar(setar_fit, values, args.horizon), None
+    else:
+        def setar_forecaster(history, z):
+            return setar_paths(setar_fit, history, z).mean(axis=1)
+        mc = args.mc
 
     sdar_acc, setar_acc = rolling_evaluate(
-        [sdar_forecaster, setar_forecaster], train, test, args.horizon,
-        args.mc, args.seed)
+        [sdar_forecaster, setar_forecaster], train, test, args.horizon, mc, args.seed)
     re = relative_efficiency(sdar_acc, setar_acc)
     _write(args, {"re_table.csv": relative_efficiency_csv(re),
                   "sdar_accuracy.csv": sdar_acc.to_csv(),

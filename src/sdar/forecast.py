@@ -1,13 +1,20 @@
-"""Monte-Carlo multi-step SDAR forecasting and accuracy comparison.
+"""SDAR forecasting, by Monte Carlo or by exact means, and accuracy comparison.
 
-Forecasts iterate the fitted one-step map forward with fresh Gaussian
-innovations along each of M simulated paths; per-horizon point
+Monte-Carlo forecasts iterate the fitted one-step map forward with fresh
+Gaussian innovations along each of M simulated paths; per-horizon point
 forecasts are the path means and intervals come from the empirical
 path distribution. Accuracy is scored per horizon with MAFE, MSFE and
 MAPE over every origin the test window holds (one if it holds H values),
-where every model reads the same draw of standard normals, and two
-models are compared through relative-efficiency ratios (SDAR over
-baseline; values below one favor SDAR).
+and two models are compared through relative-efficiency ratios (SDAR
+over baseline; values below one favor SDAR).
+
+Exact means need no draw. SDAR, and SETAR with max(d1, d2) = 1, are
+scalar chains y' ~ N(m(y), s(y)^2), so their h-step conditional means
+obey m_h(y) = E[m_{h-1}(y')] with m_0(y) = y. `exact_means_sdar` and
+`setar.exact_means_setar` tabulate that recursion once, on a trapezoid
+grid over the data range, and read each origin off it; a scoring run
+whose forecasters are all exact draws nothing. In the CLI's `compare`
+the shared draw feeds only a SETAR with max(d1, d2) > 1.
 
 Paths and draws are (H, M) arrays, one row per step, so every path loop
 steps contiguous rows and every summary reduces along axis 1. The draw
@@ -19,6 +26,7 @@ one (H, M) array; the public path loops only read theirs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +37,13 @@ from .series import TimeSeries
 
 METRIC_NAMES = ("mafe", "msfe", "mape")
 QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)  # the fan levels, ascending
+GRID_NODES = 601  # nodes of the exact-means grid, before a cut adds one
+GRID_MARGIN = 8.0  # the grid reaches this many noise scales past the data
+MASS_TOL = 1e-6  # largest |1 - mass| the grid may hold within H steps of an origin
+# Entries of K per row block (64 kB, below malloc's 128 kB mmap threshold). A whole
+# K (2.9 MB at 601 nodes), built once and freed, raised the peak RSS of a compare
+# whose SETAR draws paths by about 1 MB; blocks rebuilt at every step did not.
+K_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -133,12 +148,100 @@ def mc_forecast_sdar(
     return _summarize(_sdar_paths(fit, y_n, z, z))
 
 
+def _kernel(mean: np.ndarray, scale: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Rows exp(-(nodes - mean[i])^2 / (2 scale[i]^2)): N(mean[i], scale[i]^2) densities
+    at ``nodes``, times sqrt(2 pi) scale[i]. One array, scaled in place."""
+    k = np.subtract.outer(mean, nodes)
+    np.square(k, out=k)
+    k *= (-0.5 / scale**2)[:, None]
+    return np.exp(k, out=k)
+
+
+def _chain_means(pieces, values, H: int, cut: float | None = None):
+    """The exact-means forecaster of a chain y' ~ N(m_i(y), s_i^2) on piece i.
+
+    ``pieces`` holds one (m_i, s_i) per piece, m_i a function of a state
+    array and s_i > 0: one piece, or two split at ``cut``, the first for
+    y <= cut. The grid is about GRID_NODES evenly spaced trapezoid nodes
+    over ``values`` (where the origins lie) and the cut, plus GRID_MARGIN
+    noise scales on each side. The cut is a node that ends one panel and
+    starts the next, so m_h, which jumps there, is integrated piece by
+    piece. K, the (nodes, nodes) transition matrix, gives m_h = K m_{h-1}
+    and the mass kept, K^h 1, in one recursion, K_BLOCK entries at a time.
+
+    The forecaster ``(history, z=None) -> means`` reads only history[-1] =
+    y_n. Step 1 is m(y_n); step h >= 2 is the K-row of y_n itself times
+    m_{h-1}. It raises `ValueError` where the mass the grid keeps over H
+    steps from y_n is off 1 by more than MASS_TOL: the chain leaves the
+    grid (an explosive fit, say) or the grid does not resolve s.
+    """
+    scales = np.array([s for _, s in pieces], dtype=float)
+    if not (np.isfinite(scales).all() and (scales > 0.0).all()):
+        raise ValueError(f"exact means need positive, finite noise scales, got {scales}")
+    if H < 1:
+        raise ValueError("H must be >= 1")
+    span = np.r_[np.asarray(values, dtype=float), [] if cut is None else cut]
+    if not np.isfinite(span).all():
+        raise ValueError("values and cut must be finite")
+    lo, hi = span.min() - GRID_MARGIN * scales.max(), span.max() + GRID_MARGIN * scales.max()
+    step = (hi - lo) / (GRID_NODES - 1)
+    at = lo if cut is None else cut  # a node, from which the others are whole steps away
+    grid = at + step * np.arange(math.floor((lo - at) / step), math.ceil((hi - at) / step) + 1)
+    panels = []
+    for (m, s), x in zip(pieces, [grid] if cut is None else [grid[grid <= cut], grid[grid >= cut]]):
+        w = np.full(x.size, step)
+        w[[0, -1]] /= 2.0
+        panels.append((x, w, m(x), np.full(x.size, s)))
+    nodes, weights, mean, scale = map(np.concatenate, zip(*panels))
+    # K[i, j] = _kernel[i, j] * weights[j] * norm[i]; it is never held whole, but
+    # rebuilt block by block at each step. table rows: m_1 .. m_{H-1} on the nodes,
+    # then the mass kept over H - 1 steps, each times the weights, ready for a K-row.
+    norm = 1.0 / (math.sqrt(2.0 * math.pi) * scale[:, None])
+    rows = max(1, K_BLOCK // nodes.size)
+    table, state = np.empty((H, nodes.size)), np.column_stack([nodes, np.ones(nodes.size)])
+    for h in range(H - 1):
+        state *= weights[:, None]
+        state = norm * np.concatenate([_kernel(mean[i : i + rows], scale[i : i + rows], nodes)
+                                       @ state for i in range(0, nodes.size, rows)])
+        table[h] = state[:, 0]
+    table[-1] = state[:, 1]
+    table *= weights
+
+    def forecaster(history, z=None):
+        y_n = float(history[-1])
+        if not math.isfinite(y_n):
+            raise ValueError(f"y_n must be finite, got {y_n}")
+        m, s = pieces[cut is not None and y_n > cut]
+        y_1 = m(np.array([y_n]))
+        row = _kernel(y_1, np.array([s], dtype=float), nodes)[0] / (math.sqrt(2.0 * math.pi) * s)
+        *ahead, mass = table @ row
+        if not abs(1.0 - mass) <= MASS_TOL:
+            raise ValueError(f"the forecast grid keeps mass {mass:.3g} over {H} steps from "
+                             f"y_n = {y_n:.6g}: the chain leaves [{nodes[0]:.6g}, "
+                             f"{nodes[-1]:.6g}] or its noise is finer than the grid")
+        return np.r_[y_1, ahead]
+
+    return forecaster
+
+
+def exact_means_sdar(fit, values, H: int):
+    """Exact h-step SDAR means, h = 1..H, as a `rolling_evaluate` forecaster.
+
+    ``fit`` may be a `FitResult` or the `SdarParams` directly; the grid
+    covers ``values``, which must hold every forecast origin. The
+    forecaster reads no draw: ``forecaster(history)`` gives the means
+    from history[-1]. See `_chain_means` for the grid and its mass check.
+    """
+    p: SdarParams = getattr(fit, "theta_hat", fit)
+    return _chain_means([(lambda y: p.alpha + psi(p.kind, y, p.pf) * y, p.sigma)], values, H)
+
+
 def rolling_evaluate(
     forecasters,
     series_train: TimeSeries,
     series_test: TimeSeries,
     H: int,
-    M: int = 10_000,
+    M: int | None = 10_000,
     seed: int = 0,
 ) -> list[AccuracyReport]:
     """Score forecasters at every origin whose H targets lie in the test window.
@@ -155,11 +258,15 @@ def rolling_evaluate(
         ``means`` the (H,) point forecasts, such as the path means
         ``paths.mean(axis=1)``. Origin o draws once, with
         ``_normals(M, H, seed + o)``, and every forecaster gets the
-        same draw. Parameters are not re-estimated per origin.
+        same draw. With ``M=None`` nothing is drawn and every
+        forecaster gets ``z=None``, as the exact-means ones need.
+        Parameters are not re-estimated per origin.
 
     Returns one `AccuracyReport` per forecaster, in order.
     """
     train, test = series_train.values, series_test.values
+    if H < 1 or (M is not None and M < 1):
+        raise ValueError("H and M must be >= 1")
     if test.size < H:
         raise ValueError(f"test window shorter than horizon {H}")
     n_origins = test.size - H + 1
@@ -167,8 +274,9 @@ def rolling_evaluate(
     values.flags.writeable = False
     means = []
     for o in range(n_origins):
-        z = _normals(M, H, seed + o)
-        z.flags.writeable = False
+        z = None if M is None else _normals(M, H, seed + o)
+        if z is not None:
+            z.flags.writeable = False
         history = values[: train.size + o]
         means.append([forecaster(history, z) for forecaster in forecasters])
     means = np.reshape(means, (n_origins, len(forecasters), H))  # raises unless each gives H

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import aic, select_model
-from .forecast import ForecastResult, _normals, _summarize
+from .forecast import ForecastResult, _chain_means, _normals, _summarize
 from .series import TimeSeries
 
 
@@ -269,3 +269,20 @@ def mc_forecast_setar(
     """
     z = _normals(M, H, seed)
     return _summarize(_setar_paths(fit, history, z, z))
+
+
+def exact_means_setar(fit: SetarFit, values, H: int):
+    """Exact h-step means of a SETAR(2,1,1) fit, h = 1..H, as a `rolling_evaluate` forecaster.
+
+    A first-order SETAR is a scalar chain, so its means come from the
+    grid of `forecast.exact_means_sdar`, with the threshold as a cut: the
+    low regime holds y <= threshold. The grid covers ``values``, which
+    must hold every forecast origin; the forecaster reads no draw.
+    Raises `ValueError` for max(d1, d2) > 1, whose means need `setar_paths`.
+    """
+    fit.validate()
+    if max(fit.d1, fit.d2) > 1:
+        raise ValueError(f"exact means need SETAR(2,1,1), got SETAR(2,{fit.d1},{fit.d2})")
+    (phi1,), (phi2,) = fit.phi1, fit.phi2
+    return _chain_means([(lambda y: phi1 * y + fit.c1, fit.sigma1),
+                         (lambda y: phi2 * y + fit.c2, fit.sigma2)], values, H, fit.threshold)

@@ -12,15 +12,18 @@ import sdar.cli
 from sdar import (
     FitResult,
     PersistenceKind,
+    PersistenceParams,
+    SdarParams,
     SetarFit,
     TimeSeries,
+    exact_means_sdar,
+    exact_means_setar,
     fit_setar,
     load_returns,
     mc_forecast_sdar,
     mc_forecast_setar,
     realized_volatility,
     rolling_evaluate,
-    sdar_paths,
     setar_paths,
     simulate,
     split,
@@ -427,6 +430,7 @@ class TestCompare:
         assert "median RE(mafe)" in capsys.readouterr().out
 
     def test_rolling_accuracy_is_the_library_evaluation(self, tmp_path):
+        # SDAR means are exact; a SETAR(2,2,1) averages --mc paths of each origin's draw
         path = write_returns(tmp_path, simulate(m1_truth(), 450, seed=90).values)
         out = tmp_path / "cmp"
         main(["compare", "--input", str(path), "--n-train", "430", "--kind", "M1",
@@ -434,13 +438,50 @@ class TestCompare:
               "--seed", "3", "--mode", "rolling-origin", "--out", str(out)])
         sdar_fit = FitResult.from_json((out / "fit_sdar.json").read_text())
         setar_fit = SetarFit.from_json((out / "fit_setar.json").read_text())
+        assert (setar_fit.d1, setar_fit.d2) == (2, 1)
         train, test = split(load_returns(path), 430)
         reports = rolling_evaluate(
-            [lambda history, z: sdar_paths(sdar_fit, history[-1], z).mean(axis=1),
+            [exact_means_sdar(sdar_fit, np.r_[train.values, test.values], 5),
              lambda history, z: setar_paths(setar_fit, history, z).mean(axis=1)],
             train, test, 5, 500, 3)
         for name, report in zip(("sdar_accuracy.csv", "setar_accuracy.csv"), reports):
             assert (out / name).read_text() == report.to_csv()
+
+    def test_first_order_setar_draws_nothing(self, tmp_path, monkeypatch):
+        # both means exact: the library evaluation with M=None, and no normal drawn
+        def no_draw(*args):
+            raise AssertionError("drew normals")
+
+        monkeypatch.setattr(sdar.forecast, "_normals", no_draw)
+        path = write_returns(tmp_path, simulate(m1_truth(), 450, seed=90).values)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", str(path), "--n-train", "430", "--kind", "M1",
+                   "--n-starts", "4", "--max-lag", "1", "--horizon", "5",
+                   "--mode", "rolling-origin", "--out", str(out)])
+        assert rc == 0
+        sdar_fit = FitResult.from_json((out / "fit_sdar.json").read_text())
+        setar_fit = SetarFit.from_json((out / "fit_setar.json").read_text())
+        train, test = split(load_returns(path), 430)
+        values = np.r_[train.values, test.values]
+        reports = rolling_evaluate(
+            [exact_means_sdar(sdar_fit, values, 5), exact_means_setar(setar_fit, values, 5)],
+            train, test, 5, None)
+        for name, report in zip(("sdar_accuracy.csv", "setar_accuracy.csv"), reports):
+            assert (out / name).read_text() == report.to_csv()
+
+    def test_explosive_sdar_fit_exit_1(self, tmp_path, capsys, monkeypatch):
+        # M1 with gamma0 = -2, gamma1 = 0 is an AR(1) with phi = e^2: its mass leaves the grid
+        real_fit = sdar.cli.fit
+        explosive = SdarParams(-1.5, PersistenceParams(-2.0, 0.0, 0.5), 0.5, PersistenceKind.M1)
+        monkeypatch.setattr(sdar.cli, "fit", lambda *args, **kwargs: dataclasses.replace(
+            real_fit(*args, **kwargs), theta_hat=explosive))
+        path = write_returns(tmp_path, simulate(m1_truth(), 450, seed=90).values)
+        rc = main(["compare", "--input", str(path), "--n-train", "430", "--kind", "M1",
+                   "--n-starts", "2", "--max-lag", "1", "--horizon", "3",
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 1
+        assert "error: the forecast grid keeps mass" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
     def test_single_origin_is_a_window_of_h_values(self, tmp_path):
         # single-origin on the full file scores what rolling-origin scores on the

@@ -1,9 +1,11 @@
+import dataclasses
 import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+import sdar.forecast
 from sdar import (
     AccuracyReport,
     PersistenceKind,
@@ -11,6 +13,8 @@ from sdar import (
     SdarParams,
     SetarFit,
     TimeSeries,
+    exact_means_sdar,
+    exact_means_setar,
     fit_setar,
     mc_forecast_sdar,
     mc_forecast_setar,
@@ -23,7 +27,7 @@ from sdar import (
 )
 from sdar.forecast import _normals, _summarize, horizon_csv, relative_efficiency_csv
 
-from conftest import gen_setar, m1_truth
+from conftest import gen_ar1, gen_setar, m1_truth
 
 M1 = PersistenceKind.M1
 
@@ -103,59 +107,108 @@ class TestMcForecastSdar:
             mc_forecast_sdar(m1_truth(), y_n, H=3, M=10)
 
 
-def reference_means(params, grid, H, nodes=32):
-    """Conditional means m_1..m_H on ``grid``, with no simulation.
+def setar_1_1():
+    """A SETAR(2,1,1) fit: its one-step mean jumps at the threshold."""
+    return fit_setar(TimeSeries(gen_setar(1001, seed=61)), 1, 1)
 
-    SDAR is a scalar Markov chain, so m_h(y) = E[m_{h-1}(alpha + psi(y) y
-    + sigma Z)] with m_0(y) = y. The expectation is a Gauss-Hermite sum
-    and m_{h-1} between grid points is linear interpolation.
-    """
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    step = params.alpha + psi(params.kind, grid, params.pf) * grid
-    nxt = step[:, None] + params.sigma * np.sqrt(2.0) * x  # (grid, node) next states
-    m, out = grid, []
-    for _ in range(H):
-        m = np.interp(nxt, grid, m) @ w / np.sqrt(np.pi)
-        out.append(m)
-    return np.array(out)  # (H, grid)
+
+EXACT = {"M1": m1_truth, "M2": m2_truth, "SETAR(2,1,1)": setar_1_1}
+
+
+def exact_means(model, values, H):
+    if isinstance(model, SetarFit):
+        return exact_means_setar(model, values, H)
+    return exact_means_sdar(model, values, H)
+
+
+def data_of(model):
+    """A 1001-value path of the model: the grid's span and the origins."""
+    if isinstance(model, SetarFit):
+        return gen_setar(1001, seed=61)
+    return simulate(model, 1001, seed=61).values
 
 
 class TestMeansAgainstReference:
-    """MC means against the integral recursion, beyond the AR(1) subcase."""
+    """The library's exact means against Monte Carlo, closed-form AR(1) means
+    and a doubled grid."""
 
     H, M = 10, 100_000
     ORIGINS = ("min", "median", "max")
 
-    @pytest.mark.parametrize("truth", [m1_truth, m2_truth], ids=["M1", "M2"])
-    def test_reference_is_converged(self, truth):
-        # Doubling the grid and going to 48 nodes moves the table by far
-        # less than one MC standard error (about 2e-3 at M = 100k) over
-        # the data's range; the margins only carry the quadrature tails.
-        params = truth()
-        path = simulate(params, 1001, seed=61).values
-        coarse = np.linspace(path.min() - 4.0, path.max() + 4.0, 801)
-        fine = np.linspace(coarse[0], coarse[-1], 1601)
-        a = reference_means(params, coarse, self.H)
-        b = np.array([np.interp(coarse, fine, row)
-                      for row in reference_means(params, fine, self.H, nodes=48)])
-        inside = (path.min() <= coarse) & (coarse <= path.max())
-        assert np.abs(a - b)[:, inside].max() < 1e-5
-
-    @pytest.mark.parametrize("truth", [m1_truth, m2_truth], ids=["M1", "M2"])
-    def test_mc_means_within_bonferroni_band(self, truth):
-        params = truth()
-        path = simulate(params, 1001, seed=61).values
-        grid = np.linspace(path.min() - 4.0, path.max() + 4.0, 801)
-        table = reference_means(params, grid, self.H)
-        # Every (kind, origin, horizon) cell shares one 1e-3 family-wise level.
-        cells = 2 * len(self.ORIGINS) * self.H
+    @pytest.mark.parametrize("name", list(EXACT))
+    def test_mc_means_within_bonferroni_band(self, name):
+        model = EXACT[name]()
+        path = data_of(model)
+        means = exact_means(model, path, self.H)
+        # Every (model, origin, horizon) cell shares one 1e-3 family-wise level.
+        cells = len(EXACT) * len(self.ORIGINS) * self.H
         bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * cells))
         for seed, origin in enumerate(self.ORIGINS):
             y_n = float(getattr(np, origin)(path))
-            fc = mc_forecast_sdar(params, y_n, self.H, self.M, seed=70 + seed)
-            want = [np.interp(y_n, grid, row) for row in table]
-            dev = np.abs(fc.means - want) / fc.mc_std_error()
+            fc = fan(model, np.array([y_n]), self.H, self.M, seed=70 + seed)
+            dev = np.abs(fc.means - means([y_n])) / fc.mc_std_error()
             assert dev.max() < bound, f"{origin} origin {y_n:.3f}: {dev.round(2)}"
+
+    @pytest.mark.parametrize("name", list(EXACT))
+    def test_reference_is_converged(self, name, monkeypatch):
+        # Doubling the grid moves the means by less than a quarter of the MC
+        # standard error of compare's M = 10k draw.
+        model = EXACT[name]()
+        path = data_of(model)
+        origins = [np.array([getattr(np, o)(path)]) for o in self.ORIGINS]
+        coarse = [exact_means(model, path, self.H)(y) for y in origins]
+        monkeypatch.setattr(sdar.forecast, "GRID_NODES", 2 * sdar.forecast.GRID_NODES - 1)
+        fine = [exact_means(model, path, self.H)(y) for y in origins]
+        for y, a, b in zip(origins, coarse, fine):
+            se = fan(model, y, self.H, 10_000, seed=5).mc_std_error()
+            assert np.all(np.abs(a - b) < 0.25 * se)
+
+    @pytest.mark.parametrize("kind, gamma0", [(PersistenceKind.M1, 0.4), (PersistenceKind.M2, 1.5)])
+    def test_sdar_without_state_dependence_is_ar1(self, kind, gamma0):
+        # gamma1 = 0: an AR(1) with phi = psi(gamma0), whose means are closed form
+        params = SdarParams(-1.0, PersistenceParams(gamma0, 0.0, 0.5), 0.5, kind)
+        phi = float(psi(kind, 0.0, params.pf))
+        mu = params.alpha / (1.0 - phi)
+        path = simulate(params, 500, seed=3).values
+        means = exact_means_sdar(params, path, 20)
+        for y_n in (path.min(), np.median(path), path.max()):
+            want = mu + phi ** np.arange(1, 21) * (y_n - mu)
+            np.testing.assert_allclose(means([y_n]), want, rtol=0, atol=1e-10)
+
+    def test_setar_with_equal_regimes_is_ar1(self):
+        # Both regimes one AR(1): the cut at the threshold must not show.
+        c, phi, sigma, thr = -0.8, 0.6, 0.4, -2.1
+        fit = SetarFit(c, np.array([phi]), sigma, c, np.array([phi]), sigma, thr, 1, 1,
+                       0.5, 0.0, 100)
+        mu = c / (1.0 - phi)
+        path = gen_ar1(500, seed=4, alpha=c, phi=phi, sigma=sigma)
+        means = exact_means_setar(fit, path, 20)
+        for y_n in (path.min(), thr, np.nextafter(thr, 0.0), path.max()):
+            want = mu + phi ** np.arange(1, 21) * (y_n - mu)
+            np.testing.assert_allclose(means([y_n]), want, rtol=0, atol=1e-10)
+
+    def test_explosive_fit_leaves_the_grid(self):
+        # M1 with gamma0 = -2, gamma1 = 0 is an AR(1) with phi = e^2
+        params = SdarParams(-1.5, PersistenceParams(-2.0, 0.0, 0.5), 0.5, PersistenceKind.M1)
+        path = simulate(m1_truth(), 300, seed=1).values
+        means = exact_means_sdar(params, path, 5)
+        with pytest.raises(ValueError, match="forecast grid keeps mass"):
+            means(path)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(d1=2, phi1=np.array([0.5, 0.1])), "need SETAR\\(2,1,1\\), got SETAR\\(2,2,1\\)"),
+        (dict(sigma2=0.0), "positive, finite noise scales"),
+    ], ids=["second-order", "zero-sigma"])
+    def test_setar_rejected(self, change, message):
+        fit = dataclasses.replace(setar_1_1(), **change)
+        with pytest.raises(ValueError, match=message):
+            exact_means_setar(fit, gen_setar(100, seed=1), 3)
+
+    def test_reads_no_draw_and_only_the_last_value(self):
+        path = data_of(m1_truth())
+        means = exact_means_sdar(m1_truth(), path, 4)
+        assert np.array_equal(means(path[:50]), means(path[49:50], None))
+        assert means(path[:50])[0] == noiseless_path(m1_truth(), path[49], 1)[0]
 
 
 def score_one(forecast, actuals):
@@ -270,6 +323,22 @@ class TestRollingEvaluate:
         assert [s for _, s in seen] == [100, 101, 102]
         for o, (history, _) in enumerate(seen):
             assert np.array_equal(history, np.r_[np.zeros(10), np.ones(o)])
+
+    def test_no_draw_hands_every_forecaster_none(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew normals")
+
+        monkeypatch.setattr(sdar.forecast, "_normals", no_draw)
+        seen = []
+
+        def spy(history, z):
+            seen.append(z)
+            return np.zeros(2)
+
+        train, test = TimeSeries(np.zeros(10)), TimeSeries(np.ones(4))
+        reports = rolling_evaluate([spy, spy], train, test, H=2, M=None, seed=100)
+        assert seen == [None] * 6
+        assert [rep.n_origins for rep in reports] == [3, 3]
 
     def test_horizon_too_long_rejected(self):
         train = TimeSeries(np.zeros(10))
