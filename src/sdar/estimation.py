@@ -1,9 +1,8 @@
 """Quasi-maximum-likelihood estimation of SDAR parameters.
 
-Maximization is box-constrained quasi-Newton (L-BFGS-B) on the profile
-likelihood over phi = (gamma0, gamma1, r). One start list, an AR(1) point
-and a scale-free Latin hypercube drawn with numpy (so a fit imports
-``scipy.optimize`` and never ``scipy.stats``), is screened by one profile
+Maximization is box-constrained quasi-Newton (`minimize`, numpy only) on
+the profile likelihood over phi = (gamma0, gamma1, r). One start list, an
+AR(1) point and a scale-free Latin hypercube, is screened by one profile
 evaluation per row, and the 6 best-screened rows are polished in design
 order. For fixed phi the likelihood is a concave quadratic in alpha and
 unimodal in sigma, so their box-constrained maximizers are clipped closed
@@ -22,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,9 @@ _POLISHED = 6  # best-screened start points polished
 _GAIN_REL = 1e-9
 _COND_LIMIT = 1e12
 _PHI = slice(1, 4)  # (gamma0, gamma1, r) within theta
+_MAX_ITER = 500  # quasi-Newton iterations per polish
+_PG_TOL = 1e-10  # a polish stops once max |g| over its free coordinates is at most this
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _JSON_SCALARS = ("loglik", "aic", "n_obs", "converged", "n_starts", "grad_norm")
 
 
@@ -164,16 +168,128 @@ def sandwich_cov(
     return cov
 
 
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call.
+class _Polish(NamedTuple):
+    """End point of one `minimize` run and its objective value."""
 
-    ``scipy.optimize`` costs about 0.7 s and 50 MB of peak RSS to import and
-    only a fit needs it, so ``import sdar`` and the commands that never
-    fit do not load it. No part of sdar imports ``scipy.stats``.
+    x: np.ndarray
+    fun: float
+
+
+def minimize(objective, x0, lower, upper) -> _Polish:
+    """Minimize ``value, gradient = objective(x)`` over the box [lower, upper] from x0.
+
+    Projected quasi-Newton with an active set (Bertsekas 1982), on Python
+    floats. A coordinate is free unless pinned or held by a bound (at lower
+    with g > 0, at upper with g < 0). The direction solves B d = -g on the free
+    block, B a dense BFGS matrix, and is -g/|g| with B reset where B is unset
+    or singular or d does not descend; coordinates on a bound that d points out
+    of the box leave the block and d is solved again. `_line_search` takes the
+    step. A run ends when no coordinate is free or max |g| over the free ones is
+    at most ``_PG_TOL``, when a search fails, when a step that reaches no bound
+    does not lower the value (L-BFGS-B's ``ftol = 0``), or after ``_MAX_ITER``
+    iterations.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    lo, hi = [float(v) for v in lower], [float(v) for v in upper]
+    x = [min(max(float(v), a), b) for v, a, b in zip(x0, lo, hi)]
+    f, g = _evaluate(objective, x)
+    n, B = len(x), None
+    for _ in range(_MAX_ITER):
+        free = [i for i in range(n) if lo[i] < hi[i]
+                and not (x[i] <= lo[i] and g[i] > 0) and not (x[i] >= hi[i] and g[i] < 0)]
+        if not free or max(abs(g[i]) for i in free) <= _PG_TOL:
+            break
+        d, B = _direction(B, g, free, x, lo, hi)
+        step = _line_search(objective, x, f, g, d, lo, hi)
+        if step is None:
+            break
+        x_new, f_new, g_new, on_bound = step
+        s = [a - b for a, b in zip(x_new, x)]
+        y = [a - b for a, b in zip(g_new, g)]
+        sy, yy = _dot(s, y), _dot(y, y)
+        if sy > 1e-12 * math.sqrt(_dot(s, s) * yy):
+            if B is None:
+                B = [[yy / sy if i == j else 0.0 for j in range(n)] for i in range(n)]
+            bs = [_dot(row, s) for row in B]
+            sbs = _dot(s, bs)
+            B = [[B[i][j] + y[i] * y[j] / sy - bs[i] * bs[j] / sbs for j in range(n)]
+                 for i in range(n)]
+        stalled = f_new >= f and not on_bound  # a step onto a bound changes the free set
+        x, f, g = x_new, f_new, g_new
+        if stalled:
+            break
+    return _Polish(np.array(x), f)
 
-    return scipy_minimize(*args, **kwargs)
+
+def _line_search(objective, x, f, g, d, lo, hi):
+    """`minimize`'s step along d: the point, its value and gradient, and whether
+    the step reached a bound; None if 20 trials fail the Armijo test.
+
+    The step starts at min(1, t_max), t_max the longest inside the box; the
+    coordinates that reach a bound are put exactly on it. It backtracks by
+    safeguarded quadratic interpolation, and a non-finite value fails the test.
+    While the slope along d stays steep (the Wolfe curvature test fails), it
+    lengthens the step 4-fold as long as the value falls: after a bound is hit,
+    B can keep the curvature of the bound coordinate, and steps of B^-1 g crawl.
+    """
+    slope, n = _dot(g, d), len(x)
+    reach = [((hi[i] if d[i] > 0 else lo[i]) - x[i]) / d[i] if d[i] else math.inf
+             for i in range(n)]
+    t_max = min(reach)
+
+    def at(t):
+        x_t = [(hi[i] if d[i] > 0 else lo[i]) if reach[i] <= t
+               else min(max(x[i] + t * d[i], lo[i]), hi[i]) for i in range(n)]
+        f_t, g_t = _evaluate(objective, x_t)
+        return x_t, f_t, g_t, math.isfinite(f_t) and f_t <= f + _ARMIJO * t * slope
+
+    t = min(1.0, t_max)
+    for _ in range(20):
+        x_t, f_t, g_t, ok = at(t)
+        if ok:
+            break
+        t_q = -slope * t * t / (2.0 * (f_t - f - t * slope))
+        t = min(max(t_q, 0.1 * t), 0.5 * t) if math.isfinite(f_t) else 0.1 * t
+    else:
+        return None
+    while t < t_max and _dot(g_t, d) < 0.9 * slope:
+        t_up = min(4.0 * t, t_max)
+        longer = at(t_up)
+        if not (longer[3] and longer[1] < f_t):
+            break
+        t, (x_t, f_t, g_t, _) = t_up, longer
+    return x_t, f_t, g_t, t >= t_max
+
+
+def _evaluate(objective, x):
+    value, grad = objective(np.array(x))
+    return float(value), grad.tolist()
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def _direction(B, g, free, x, lo, hi):
+    """`minimize`'s search direction, and B (None once reset)."""
+    while True:
+        d, sub = [0.0] * len(x), None
+        if B is not None:
+            try:
+                sub = np.linalg.solve([[B[i][j] for j in free] for i in free],
+                                      [-g[i] for i in free]).tolist()
+            except np.linalg.LinAlgError:  # singular
+                pass
+        if sub is not None and math.isfinite(sum(sub)) and _dot(sub, [g[i] for i in free]) < 0:
+            for i, v in zip(free, sub):
+                d[i] = v
+        else:
+            B, norm = None, math.sqrt(sum(g[i] * g[i] for i in free))
+            for i in free:
+                d[i] = -g[i] / norm
+        out = [i for i in free if (x[i] <= lo[i] and d[i] < 0) or (x[i] >= hi[i] and d[i] > 0)]
+        if not out:
+            return d, B
+        free = [i for i in free if i not in out]
 
 
 def _projected_grad(theta, grad, lower, upper):
@@ -291,7 +407,7 @@ def fit(
     """Fit an SDAR model by multi-start box-constrained QML.
 
     Returns the best local maximum of the profile likelihood in phi over
-    L-BFGS-B runs, in design order (ties go to the earlier run), from the
+    `minimize` runs, in design order (ties go to the earlier run), from the
     ``_POLISHED`` (6) rows with the best profile values of the `_start_points`
     list: the AR(1) point and ``n_starts`` hypercube points (deterministic
     given ``seed``). `converged` is `_converged` at the estimate.
@@ -315,15 +431,7 @@ def fit(
     best = np.sort(np.argsort(screen, kind="stable")[:_POLISHED])
     best_f, best_phi = np.inf, None
     for phi0 in design[best]:
-        res = minimize(
-            objective,
-            phi0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(box.lower[_PHI], box.upper[_PHI])),
-            # no relative-reduction stop: it ends runs early on the profile's flat ridges
-            options={"maxiter": 500, "ftol": 0.0, "gtol": 1e-10},
-        )
+        res = minimize(objective, phi0, box.lower[_PHI], box.upper[_PHI])
         if res.fun < best_f:
             best_f, best_phi = res.fun, res.x
 

@@ -213,7 +213,7 @@ def reference_objective(series, kind, box):
 
 class TestProfileKernel:
     """The fused kernel returns the reference objective's numbers bit for bit,
-    so L-BFGS-B takes the same path and a fit keeps its bytes."""
+    so the optimizer takes the same path and a fit keeps its bytes."""
 
     M2_TRUTH = SdarParams(-1.5, PersistenceParams(1.5, 0.1, 0.5), 0.5, M2)
     PHI = m1_identified_truth().to_array()[1:4]
@@ -278,7 +278,7 @@ class TestProfileKernel:
         self.assert_identical(TimeSeries(y), kind, box, self.random_phis(box, 30, seed=65))
 
     # the last three go through the exact-zero lags, the pinned box of criterion 4
-    # and a sigma floor above the fitted sigma on L-BFGS-B's own iterates
+    # and a sigma floor above the fitted sigma on the optimizer's own iterates
     @pytest.mark.parametrize(
         "kind, y, box",
         [
@@ -336,6 +336,88 @@ class TestProfileKernel:
                 value, grad = kernels[j](phis[j][i])
                 assert value == alone[j][i][0]
                 assert np.array_equal(grad, alone[j][i][1])
+
+
+def quadratic(A, c):
+    """f(x) = (x - c)' A (x - c) / 2 and its gradient, recording each x evaluated."""
+    A, c, seen = np.asarray(A, dtype=float), np.asarray(c, dtype=float), []
+
+    def objective(x):
+        seen.append(np.array(x))
+        r = x - c
+        return 0.5 * r @ A @ r, A @ r
+
+    objective.seen = seen
+    return objective
+
+
+class TestMinimize:
+    """The box-constrained quasi-Newton polish on convex quadratics over [0, 1]^3."""
+
+    A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+    LO, HI = np.zeros(3), np.ones(3)
+
+    def run(self, c, x0=(0.5, 0.5, 0.5), A=None):
+        objective = quadratic(self.A if A is None else A, c)
+        return estimation.minimize(objective, np.array(x0), self.LO, self.HI)
+
+    def test_minimum_inside_the_box(self):
+        c = np.array([0.3, 0.6, 0.4])
+        res = self.run(c)
+        np.testing.assert_allclose(res.x, c, rtol=0, atol=1e-8)
+        assert res.fun == pytest.approx(0.0, abs=1e-15)
+
+    def test_minimum_past_one_face(self):
+        c = np.array([0.4, 0.5, 1.6])
+        # KKT point: x3 on its upper bound, (x1, x2) minimize over that face
+        free = c[:2] - np.linalg.solve(self.A[:2, :2], self.A[:2, 2] * (1.0 - c[2]))
+        want = np.array([*free, 1.0])
+        assert np.all((free > 0) & (free < 1)) and (self.A @ (want - c))[2] < 0
+        np.testing.assert_allclose(self.run(c).x, want, rtol=0, atol=1e-8)
+
+    def test_minimum_past_a_corner(self):
+        c = np.array([1.8, -0.7, 1.9])
+        want = np.array([1.0, 0.0, 1.0])
+        g = self.A @ (want - c)
+        assert g[0] < 0 and g[1] > 0 and g[2] < 0  # every bound holds its coordinate
+        np.testing.assert_allclose(self.run(c).x, want, rtol=0, atol=1e-8)
+
+    def test_start_on_a_bound_where_the_newton_direction_points_out(self):
+        # After the first (steepest-descent) step, x2 sits on its lower bound
+        # with g2 = 0 and the quasi-Newton direction points below it: a step
+        # capped at the box would have length 0. x2 must leave the free block.
+        A, c = np.diag([2.0, 3.0, 4.0]), np.array([1.25, 0.0, 0.25])
+        res = self.run(c, x0=(0.0, 0.25, 0.0), A=A)
+        np.testing.assert_allclose(res.x, [1.0, 0.0, 0.25], rtol=0, atol=1e-8)
+
+    def test_pinned_coordinates_never_move(self):
+        # criterion 4's box: only gamma0 moves, to the AR(1) closed form
+        y = gen_ar1(400, seed=3)
+        box = ParamBox.default(M1).pin("gamma1", 0.0).pin("r", 0.5)
+        kernel, seen = _ProfileKernel(TimeSeries(y), M1, box), []
+
+        def objective(phi):
+            seen.append(phi.copy())
+            return kernel(phi)
+
+        res = estimation.minimize(objective, [1.0, 0.0, 0.5], box.lower[1:4], box.upper[1:4])
+        assert len(seen) > 2 and all(phi[1] == 0.0 and phi[2] == 0.5 for phi in seen)
+        slope = ols_ar1(y)[1]
+        assert res.x[0] == pytest.approx(-math.log(slope), abs=1e-6)
+
+    def test_infinite_value_is_backtracked(self):
+        c = np.array([0.5, 0.5, 0.5])
+        finite = quadratic(np.eye(3), c)
+
+        def objective(x):
+            value, grad = finite(x)
+            return (value if x[0] >= 0.25 else np.inf), grad
+
+        # the first step, -g/|g| capped at the box, lands on x1 = 0
+        res = estimation.minimize(objective, [0.75, 0.5, 0.5], self.LO, self.HI)
+        assert any(x[0] < 0.25 for x in finite.seen)
+        assert np.isfinite(res.fun)
+        np.testing.assert_allclose(res.x, c, rtol=0, atol=1e-8)
 
 
 class TestAicSelect:

@@ -13,9 +13,6 @@ SRC = str(Path(sdar.__file__).resolve().parent.parent)
 SCIPY_LOADED = (
     "any(m.split('.')[0] == 'scipy' for m in sys.modules)"
 )
-SCIPY_STATS_LOADED = (
-    "any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules)"
-)
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -59,36 +56,42 @@ assert not {SCIPY_LOADED}, "fit-setar"
     assert proc.returncode == 0, proc.stderr
 
 
-def test_fit_loads_scipy_on_first_use():
+# Run first in a subprocess: every later import of scipy then raises ImportError.
+BLOCK_SCIPY = 'import sys; sys.modules["scipy"] = None'
+SCIPY_BLOCKED = (
+    'sys.modules["scipy"] is None and not any(m.startswith("scipy.") for m in sys.modules)'
+)
+
+
+def test_fit_loads_no_scipy():
     code = f"""
-import sys
+{BLOCK_SCIPY}
 import numpy as np
 import sdar
-assert not {SCIPY_LOADED}
 truth = sdar.SdarParams(-1.5, sdar.PersistenceParams(0.4, 0.3, 0.5), 1.0,
                         sdar.PersistenceKind.M1)
 res = sdar.fit(sdar.simulate(truth, n=300, seed=1), sdar.PersistenceKind.M1,
                n_starts=2, seed=0)
 assert np.isfinite(res.loglik)
-assert "scipy.optimize" in sys.modules
-assert not {SCIPY_STATS_LOADED}
+assert {SCIPY_BLOCKED}
 """
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_fit_sdar_command_loads_no_scipy_stats(tmp_path):
+def test_fitting_commands_load_no_scipy(tmp_path):
     series = tmp_path / "series.csv"
     series.write_text(
         "value\n" + "\n".join(f"{v:.12g}" for v in gen_setar(300, seed=4)) + "\n"
     )
     code = f"""
-import sys
+{BLOCK_SCIPY}
 from sdar.cli import main
 assert main(["fit-sdar", "--input", {str(series)!r}, "--kind", "both",
              "--n-starts", "4", "--out", {str(tmp_path / 'fit')!r}]) == 0
-assert "scipy.optimize" in sys.modules
-assert not {SCIPY_STATS_LOADED}, "fit-sdar"
+assert main(["compare", "--input", {str(series)!r}, "--n-train", "260", "--kind", "M1",
+             "--n-starts", "4", "--max-lag", "1", "--out", {str(tmp_path / 'cmp')!r}]) == 0
+assert {SCIPY_BLOCKED}
 """
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
