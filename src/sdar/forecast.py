@@ -21,7 +21,9 @@ steps contiguous rows and every summary reduces along axis 1. The draw
 is ``default_rng(seed).standard_normal((H, M))``: normal [h, m] drives
 path m at step h. A fan owns its draw, so its path loop writes step h
 over row h of the draw once it has read it, and the fan lives in that
-one (H, M) array; the public path loops only read theirs.
+one (H, M) array; the public path loops only read theirs. The fan's
+summary sorts each row in place and reads its quantiles off it by index
+with numpy 2.4.6's linear ``np.quantile`` rule (Hyndman-Fan type 7).
 """
 
 from __future__ import annotations
@@ -82,18 +84,37 @@ def _summarize(paths: np.ndarray) -> ForecastResult:
     """Fan summary of an (H, M) path array: means, `QUANTILE_PROBS` quantiles, path std.
 
     Allocates nothing of full size. The path std is taken one row at a
-    time, which sums as ``std(axis=1)`` does, bit for bit, without its
-    (H, M) temporary. Sorts each row of ``paths`` in place, after the
-    means and path std are taken, and lets `np.quantile` partition the
-    sorted rows in place, so the caller gets its rows back permuted. The
-    quantiles are those of the unsorted rows, bit for bit: the partition
-    finds the same order statistics, and on sorted rows it finds them faster.
+    time through one reused (M,) buffer, with the ufuncs of numpy's
+    ``_var`` (sum / M, subtract, square, sum / (M - 1), sqrt): it is
+    ``std(axis=1, ddof=1)`` bit for bit. Then each row of ``paths`` is
+    sorted in place (the caller gets its rows back sorted) and the levels
+    are read off it by index with ``np.quantile``'s linear rule
+    (Hyndman-Fan type 7) as numpy 2.4.6 writes it in ``_get_indexes``,
+    ``_get_gamma`` and ``_lerp``: virtual index (M - 1) q, both neighbours
+    at -1 from M - 1 on, and the lerp from the upper neighbour where
+    gamma >= 0.5. A row holding a NaN reads the NaN its sort leaves last.
+    The levels are ``np.quantile`` of the sorted rows bit for bit, and of
+    the unsorted rows value for value (``np.sort`` drops a NaN's sign bit).
     """
     H, M = paths.shape
     means = paths.mean(axis=1)
-    path_std = np.array([row.std(ddof=1) for row in paths]) if M > 1 else np.zeros(H)
+    path_std = np.zeros(H)
+    if M > 1:
+        dev = np.empty(M)
+        for h, row in enumerate(paths):
+            np.square(np.subtract(row, np.add.reduce(row) / M, out=dev), out=dev)
+            path_std[h] = np.add.reduce(dev)
+        np.sqrt(path_std / (M - 1), out=path_std)
     paths.sort(axis=1)
-    quantiles = np.quantile(paths, QUANTILE_PROBS, axis=1, overwrite_input=True)
+    virtual = (M - 1) * np.array(QUANTILE_PROBS)
+    lo = np.where(virtual >= M - 1, -1, np.floor(virtual)).astype(np.intp)
+    hi = np.where(lo < 0, -1, lo + 1)
+    gamma = (virtual - lo)[:, None]
+    a, b = paths.T[lo], paths.T[hi]  # (levels, H): the neighbours of every row
+    diff = b - a
+    quantiles = np.add(a, diff * gamma)
+    np.subtract(b, diff * (1 - gamma), out=quantiles, where=gamma >= 0.5)
+    np.copyto(quantiles, paths[:, -1], where=np.isnan(paths[:, -1]))
     return ForecastResult(horizon=H, means=means, quantiles=dict(zip(QUANTILE_PROBS, quantiles)),
                           M=M, path_std=path_std)
 

@@ -137,13 +137,18 @@ def _assemble(design, d1: int, d2: int) -> SetarFit:
     """The SETAR(2, d1, d2) fit at the candidate of least pooled SSR."""
     z_sorted, ks, rows, solves = design
     (beta1, ok1, ssr1), (beta2, ok2, ssr2) = solves[d1, False], solves[d2, True]
-    ssr = (ssr1 + ssr2).tolist()
-    best = None
-    for i in np.flatnonzero(ok1 & ok2).tolist():
-        if best is None or ssr[i] < ssr[best] - 1e-12 * abs(ssr[best]):
-            best = i
-    if best is None:
+    cands = np.flatnonzero(ok1 & ok2)
+    if cands.size == 0:
         raise ValueError("threshold search failed: all regressions singular")
+    ssr = (ssr1 + ssr2)[cands]
+    # A candidate that beats the best so far lies below every earlier one, so the
+    # 1e-12 rule need only visit the first candidate and the strict running minima
+    # after it; np.fmin skips NaN, so a NaN starts no record.
+    lead = np.r_[True, ssr[1:] < np.fmin.accumulate(ssr)[:-1]]
+    best = low = None
+    for i, s in zip(cands[lead].tolist(), ssr[lead].tolist()):
+        if best is None or s < low - 1e-12 * abs(low):
+            best, low = i, s
 
     k, beta1, beta2 = int(ks[best]), beta1[best], beta2[best]
     ssr1, ssr2 = ssr1[best], ssr2[best]

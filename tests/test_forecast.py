@@ -25,7 +25,7 @@ from sdar import (
     setar_paths,
     simulate,
 )
-from sdar.forecast import _normals, _summarize, horizon_csv, relative_efficiency_csv
+from sdar.forecast import QUANTILE_PROBS, _normals, _summarize, horizon_csv, relative_efficiency_csv
 
 from conftest import gen_ar1, gen_setar, m1_truth
 
@@ -436,14 +436,42 @@ class TestDrawAndSummary:
         paths[0] = 0.1
         unsorted = paths.copy()
         fc = _summarize(paths)
-        # Each row is permuted in place: sorted, then partitioned by np.quantile.
-        assert np.array_equal(np.sort(paths, axis=1), np.sort(unsorted, axis=1))
+        assert np.array_equal(paths, np.sort(unsorted, axis=1))  # each row sorted in place
         for q, got in fc.quantiles.items():
             assert np.array_equal(got, np.quantile(unsorted, q, axis=1))
         assert np.array_equal(fc.means, unsorted.mean(axis=1))
         want_std = unsorted.std(axis=1, ddof=1) if M > 1 else np.zeros(H)
         assert np.array_equal(fc.path_std, want_std)
         assert (fc.horizon, fc.M) == (H, M)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 7, 1000])
+    def test_quantiles_read_off_sorted_rows_are_np_quantile_bits(self, M):
+        # Rows: untied, tied, constant, with +inf, -inf, both, all +inf, a NaN,
+        # a NaN with its sign bit set, all NaN, and a NaN beside an inf; +-inf
+        # rows make inf - inf lerps. The levels are the bytes of np.quantile of
+        # the sorted rows, and the values of np.quantile of the unsorted rows:
+        # np.sort writes a NaN back without its sign bit, np.quantile keeps it.
+        rng = np.random.default_rng(M)
+        rows = [rng.standard_normal(M), rng.integers(0, 3, M).astype(float), np.full(M, 0.3)]
+        for marks in ([np.inf], [-np.inf], [np.inf, -np.inf], [np.nan], [-np.nan], [np.nan, np.inf]):
+            row = rng.standard_normal(M)
+            row[rng.permutation(M)[: len(marks)]] = marks[:M]
+            rows.append(row)
+        rows += [np.full(M, np.inf), np.full(M, np.nan)]
+        unsorted = np.array(rows)
+        paths = unsorted.copy()
+        with np.errstate(invalid="ignore"):
+            fc = _summarize(paths)
+            want = np.quantile(np.sort(unsorted, axis=1), QUANTILE_PROBS, axis=1)
+            of_unsorted = np.quantile(unsorted, QUANTILE_PROBS, axis=1)
+            want_std = unsorted.std(axis=1, ddof=1) if M > 1 else np.zeros(len(rows))
+            want_means = unsorted.mean(axis=1)
+        assert paths.tobytes() == np.sort(unsorted, axis=1).tobytes()
+        assert np.array_equal(np.array(list(fc.quantiles.values())), of_unsorted, equal_nan=True)
+        for got, level in zip(fc.quantiles.values(), want):
+            assert got.tobytes() == level.tobytes()
+        assert fc.path_std.tobytes() == want_std.tobytes()
+        assert fc.means.tobytes() == want_means.tobytes()
 
 
 def setar_3_3():

@@ -174,6 +174,35 @@ class TestFitSetar:
         with pytest.raises(ValueError, match="all regressions singular"):
             select_setar(y, max_lag=1)
 
+    def test_best_candidate_is_the_sequential_rule(self):
+        # The search visits only the strict running minima of the pooled SSR;
+        # it must pick what the 1e-12 rule picks visiting every candidate in
+        # order, over exact ties, near-ties of +-1e-13, negative SSRs and NaN.
+        def sequential(ssr, ok):
+            best = None
+            for i in np.flatnonzero(ok):
+                if best is None or ssr[i] < ssr[best] - 1e-12 * abs(ssr[best]):
+                    best = i
+            return best
+
+        rng = np.random.default_rng(31)
+        n = 30
+        beta, zeros = np.zeros((n, 2)), np.zeros(n)
+        for trial in range(2000):
+            levels = rng.choice([3.0, 2.0, 1.0, 1e-300, 0.0, -1.0, -2.0], rng.integers(1, 5))
+            ssr = rng.choice(levels, n) * (1.0 + rng.choice([0.0, 1e-13, -1e-13, 2e-12], n))
+            ssr[rng.random(n) < 0.1] = np.nan
+            ok = rng.random(n) < 0.8
+            # z_sorted[k - 1] = k - 1 = the candidate index, so the threshold names it
+            design = (np.arange(n + 1.0), np.arange(1, n + 1), n + 5,
+                      {(1, False): (beta, ok, ssr), (1, True): (beta, np.ones(n, bool), zeros)})
+            want = sequential(ssr, ok)
+            if want is None:
+                with pytest.raises(ValueError, match="all regressions singular"):
+                    sdar.setar._assemble(design, 1, 1)
+            else:
+                assert sdar.setar._assemble(design, 1, 1).threshold == want
+
     @pytest.mark.parametrize("d1, d2", [(1.5, 2), (2, 2.0), (True, 2)])
     def test_float_lag_order_rejected(self, d1, d2):
         y = TimeSeries(gen_setar(500, seed=5))
