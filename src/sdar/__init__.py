@@ -55,6 +55,7 @@ from .setar import (
     fit_setar,
     mc_forecast_setar,
     select_setar,
+    setar_means,
     setar_paths,
 )
 
@@ -97,6 +98,7 @@ __all__ = [
     "sdar_paths",
     "select_model",
     "select_setar",
+    "setar_means",
     "setar_paths",
     "simulate",
     "split",

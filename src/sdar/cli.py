@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 input error (a bad or missing flag included),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from .forecast import (
 from .model import SdarParams, persistence_series
 from .persistence import PersistenceKind, PersistenceParams, check_assumptions
 from .series import IngestError, TimeSeries, load_returns, log_transform, realized_volatility, split
-from .setar import SetarFit, exact_means_setar, mc_forecast_setar, select_setar, setar_paths
+from .setar import SetarFit, exact_means_setar, mc_forecast_setar, select_setar, setar_means
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -55,8 +56,7 @@ _FLAGS = {
     "--max-lag": dict(type=int, default=4),
     "--trim": dict(type=float, default=0.15),
     "--horizon": dict(type=int, default=20),
-    "--mc": dict(type=int, default=10_000, help="Monte-Carlo paths; compare draws them only "
-                 "for a SETAR with max(d1, d2) > 1, whose means are not exact"),
+    "--mc": dict(type=int, default=10_000, help="Monte-Carlo paths"),
     "--mode": dict(choices=["single-origin", "rolling-origin"], default="single-origin",
                    help="single-origin scores the first --horizon test values: one origin"),
     "--gamma0": dict(type=float),
@@ -72,6 +72,9 @@ _OWN_FLAGS = {
     ("forecast", "--fit"): dict(required=True, help="fit JSON (SDAR or SETAR)"),
     ("check", "--fit"): dict(help="SDAR fit JSON to check"),
     ("compare", "--n-train"): dict(type=int, required=True),
+    ("compare", "--mc"): dict(type=int, default=1_000, help="antithetic draws per origin "
+                              "(2 x --mc paths), taken only for a SETAR with max(d1, d2) > 1, "
+                              "whose means are not exact"),
 }
 
 
@@ -234,15 +237,14 @@ def cmd_compare(args) -> int:
     setar_fit = select_setar(train, max_lag=args.max_lag, trim=args.trim)
 
     # Only the means are scored. SDAR's are exact, and so are SETAR's when it is
-    # first-order; a SETAR of higher order averages --mc paths of one draw per origin.
+    # first-order; a SETAR of higher order averages the conditional means of the
+    # 2 x --mc antithetic paths of one draw per origin.
     values = np.concatenate([train.values, test.values])  # every origin lies in it
     sdar_forecaster = exact_means_sdar(sdar_fit, values, args.horizon)
     if max(setar_fit.d1, setar_fit.d2) == 1:
         setar_forecaster, mc = exact_means_setar(setar_fit, values, args.horizon), None
     else:
-        def setar_forecaster(history, z):
-            return setar_paths(setar_fit, history, z).mean(axis=1)
-        mc = args.mc
+        setar_forecaster, mc = functools.partial(setar_means, setar_fit), args.mc
 
     sdar_acc, setar_acc = rolling_evaluate(
         [sdar_forecaster, setar_forecaster], train, test, args.horizon, mc, args.seed)

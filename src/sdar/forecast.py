@@ -12,9 +12,12 @@ Exact means need no draw. SDAR, and SETAR with max(d1, d2) = 1, are
 scalar chains y' ~ N(m(y), s(y)^2), so their h-step conditional means
 obey m_h(y) = E[m_{h-1}(y')] with m_0(y) = y. `exact_means_sdar` and
 `setar.exact_means_setar` tabulate that recursion once, on a trapezoid
-grid over the data range, and read each origin off it; a scoring run
-whose forecasters are all exact draws nothing. In the CLI's `compare`
-the shared draw feeds only a SETAR with max(d1, d2) > 1.
+grid over the states the chain reaches within H steps of the data, and
+read each origin off it; a scoring run whose forecasters are all exact
+draws nothing. In the CLI's `compare` the shared draw feeds only a SETAR
+with max(d1, d2) > 1, whose means `setar.setar_means` takes from each
+step's conditional mean averaged over antithetic paths, not from the
+path values.
 
 Paths and draws are (H, M) arrays, one row per step, so every path loop
 steps contiguous rows and every summary reduces along axis 1. The draw
@@ -183,9 +186,13 @@ def _chain_means(pieces, values, H: int, cut: float | None = None):
 
     ``pieces`` holds one (m_i, s_i) per piece, m_i a function of a state
     array and s_i > 0: one piece, or two split at ``cut``, the first for
-    y <= cut. The grid is about GRID_NODES evenly spaced trapezoid nodes
-    over ``values`` (where the origins lie) and the cut, plus GRID_MARGIN
-    noise scales on each side. The cut is a node that ends one panel and
+    y <= cut. The grid follows the chain: [lo, hi] starts as the range
+    of ``values`` (where the origins lie) and the cut, and each of H
+    rounds widens it to m's extremes over [lo, hi] plus GRID_MARGIN
+    noise scales on each side, sampled at GRID_NODES points, so a chain
+    that leaves the data's range for a second basin stays on the grid.
+    The grid is then about GRID_NODES evenly spaced trapezoid nodes over
+    [lo, hi] plus that margin. The cut is a node that ends one panel and
     starts the next, so m_h, which jumps there, is integrated piece by
     piece. K, the (nodes, nodes) transition matrix, gives m_h = K m_{h-1}
     and the mass kept, K^h 1, in one recursion, K_BLOCK entries at a time.
@@ -204,12 +211,24 @@ def _chain_means(pieces, values, H: int, cut: float | None = None):
     span = np.r_[np.asarray(values, dtype=float), [] if cut is None else cut]
     if not np.isfinite(span).all():
         raise ValueError("values and cut must be finite")
-    lo, hi = span.min() - GRID_MARGIN * scales.max(), span.max() + GRID_MARGIN * scales.max()
+
+    def split_at_cut(x):  # each piece's share of x, the cut in both
+        return [x] if cut is None else [x[x <= cut], x[x >= cut]]
+
+    margin, lo, hi = GRID_MARGIN * scales.max(), span.min(), span.max()
+    with np.errstate(over="ignore", invalid="ignore"):  # a chain that overflows fails below
+        for _ in range(H):
+            x = np.linspace(lo - margin, hi + margin, GRID_NODES)
+            ends = np.concatenate([m(x) for (m, _), x in zip(pieces, split_at_cut(x))])
+            lo, hi = float(np.minimum(lo, ends.min())), float(np.maximum(hi, ends.max()))
+    lo, hi = lo - margin, hi + margin
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the chain's means leave every finite grid within {H} steps")
     step = (hi - lo) / (GRID_NODES - 1)
     at = lo if cut is None else cut  # a node, from which the others are whole steps away
     grid = at + step * np.arange(math.floor((lo - at) / step), math.ceil((hi - at) / step) + 1)
     panels = []
-    for (m, s), x in zip(pieces, [grid] if cut is None else [grid[grid <= cut], grid[grid >= cut]]):
+    for (m, s), x in zip(pieces, split_at_cut(grid)):
         w = np.full(x.size, step)
         w[[0, -1]] /= 2.0
         panels.append((x, w, m(x), np.full(x.size, s)))
@@ -237,8 +256,8 @@ def _chain_means(pieces, values, H: int, cut: float | None = None):
         row = _kernel(y_1, np.array([s], dtype=float), nodes)[0] / (math.sqrt(2.0 * math.pi) * s)
         *ahead, mass = table @ row
         if not abs(1.0 - mass) <= MASS_TOL:
-            raise ValueError(f"the forecast grid keeps mass {mass:.3g} over {H} steps from "
-                             f"y_n = {y_n:.6g}: the chain leaves [{nodes[0]:.6g}, "
+            raise ValueError(f"the forecast grid keeps mass 1 - ({1.0 - mass:.3g}) over {H} "
+                             f"steps from y_n = {y_n:.6g}: the chain leaves [{nodes[0]:.6g}, "
                              f"{nodes[-1]:.6g}] or its noise is finer than the grid")
         return np.r_[y_1, ahead]
 

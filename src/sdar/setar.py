@@ -233,8 +233,14 @@ def setar_paths(fit: SetarFit, history, z: np.ndarray) -> np.ndarray:
     return _setar_paths(fit, history, z, np.empty(z.shape))
 
 
-def _setar_paths(fit: SetarFit, history, z: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """`setar_paths` into ``paths``, which may be ``z``: z[h] is read before paths[h] is set."""
+def _setar_paths(fit: SetarFit, history, z: np.ndarray, paths: np.ndarray,
+                 means: np.ndarray | None = None) -> np.ndarray:
+    """`setar_paths` into ``paths``, which may be ``z``: z[h] is read before paths[h] is set.
+
+    Given an (H,) ``means``, the loop also records means[h], the mean over
+    paths of step h + 1's conditional mean, before its noise is added;
+    then z[H - 1] is never read and paths[H - 1] never set.
+    """
     fit.validate()
     p = max(fit.d1, fit.d2)
     history = np.asarray(history, dtype=float)
@@ -256,6 +262,10 @@ def _setar_paths(fit: SetarFit, history, z: np.ndarray, paths: np.ndarray) -> np
         for k in range(p - 1, 0, -1):
             total += tab[k].take(idx) * lag[k]
         total += tab[0].take(idx)
+        if means is not None:  # step 1's mean is the same on every path: take it whole
+            means[h] = total[0] if h == 0 else total.mean()
+            if h == z.shape[0] - 1:
+                break
         np.add(total, np.multiply(tab[p + 1].take(idx), z[h], out=paths[h]), out=paths[h])
     return paths
 
@@ -276,6 +286,25 @@ def mc_forecast_setar(
     return _summarize(_setar_paths(fit, history, z, z))
 
 
+def setar_means(fit: SetarFit, history, z: np.ndarray) -> np.ndarray:
+    """The (H,) SETAR forecast means from the last observed values and (H, M) normals ``z``.
+
+    A `rolling_evaluate` forecaster once ``fit`` is bound. The paths of
+    `setar_paths` run on the antithetic pair, the 2M columns [z, -z], and
+    each step's mean is the average over paths of its conditional mean,
+    taken before the step's noise is added, not of the noisy path values
+    (Rao-Blackwellization). The mirror cancels the error that is linear
+    in the noise within a regime. Step 1 is exact: the regime and the
+    lags are the data's. Only z[:H - 1] is read.
+    """
+    H, M = z.shape
+    pair, means = np.empty((H, 2 * M)), np.empty(H)
+    np.copyto(pair[:-1, :M], z[:-1])
+    np.negative(z[:-1], out=pair[:-1, M:])
+    _setar_paths(fit, history, pair, pair, means)
+    return means
+
+
 def exact_means_setar(fit: SetarFit, values, H: int):
     """Exact h-step means of a SETAR(2,1,1) fit, h = 1..H, as a `rolling_evaluate` forecaster.
 
@@ -283,7 +312,7 @@ def exact_means_setar(fit: SetarFit, values, H: int):
     grid of `forecast.exact_means_sdar`, with the threshold as a cut: the
     low regime holds y <= threshold. The grid covers ``values``, which
     must hold every forecast origin; the forecaster reads no draw.
-    Raises `ValueError` for max(d1, d2) > 1, whose means need `setar_paths`.
+    Raises `ValueError` for max(d1, d2) > 1, whose means come from `setar_means`.
     """
     fit.validate()
     if max(fit.d1, fit.d2) > 1:

@@ -24,7 +24,7 @@ from sdar import (
     mc_forecast_setar,
     realized_volatility,
     rolling_evaluate,
-    setar_paths,
+    setar_means,
     simulate,
     split,
 )
@@ -430,7 +430,8 @@ class TestCompare:
         assert "median RE(mafe)" in capsys.readouterr().out
 
     def test_rolling_accuracy_is_the_library_evaluation(self, tmp_path):
-        # SDAR means are exact; a SETAR(2,2,1) averages --mc paths of each origin's draw
+        # SDAR means are exact; a SETAR(2,2,1) averages the conditional means of the
+        # 2 x --mc antithetic paths of each origin's draw
         path = write_returns(tmp_path, simulate(m1_truth(), 450, seed=90).values)
         out = tmp_path / "cmp"
         main(["compare", "--input", str(path), "--n-train", "430", "--kind", "M1",
@@ -442,7 +443,7 @@ class TestCompare:
         train, test = split(load_returns(path), 430)
         reports = rolling_evaluate(
             [exact_means_sdar(sdar_fit, np.r_[train.values, test.values], 5),
-             lambda history, z: setar_paths(setar_fit, history, z).mean(axis=1)],
+             lambda history, z: setar_means(setar_fit, history, z)],
             train, test, 5, 500, 3)
         for name, report in zip(("sdar_accuracy.csv", "setar_accuracy.csv"), reports):
             assert (out / name).read_text() == report.to_csv()

@@ -22,10 +22,12 @@ from sdar import (
     relative_efficiency,
     rolling_evaluate,
     sdar_paths,
+    setar_means,
     setar_paths,
     simulate,
 )
 from sdar.forecast import QUANTILE_PROBS, _normals, _summarize, horizon_csv, relative_efficiency_csv
+from sdar.setar import _setar_paths
 
 from conftest import gen_ar1, gen_setar, m1_truth
 
@@ -175,6 +177,19 @@ class TestMeansAgainstReference:
             want = mu + phi ** np.arange(1, 21) * (y_n - mu)
             np.testing.assert_allclose(means([y_n]), want, rtol=0, atol=1e-10)
 
+    def test_bistable_fit_keeps_its_mass(self):
+        # An M1 fit of a benchmark chain (gamma0 on its bound -2, psi(0) = e^2) with a
+        # second basin near 6.5, beyond the data's range [-5.369, -1.943]: a grid
+        # over that range plus its margin lost about 1e-4 of the mass within 20 steps.
+        params = SdarParams(1.0028, PersistenceParams(-2.0, 1.1057, 0.1824), 0.4902, M1)
+        origins = (-5.369, -3.96489, -1.9427)
+        means = exact_means_sdar(params, np.array([origins[0], origins[-1]]), 20)
+        bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(origins) * 20))
+        for seed, y_n in enumerate(origins):
+            fc = mc_forecast_sdar(params, y_n, 20, 400_000, seed=90 + seed)
+            dev = np.abs(fc.means - means([y_n])) / fc.mc_std_error()
+            assert dev.max() < bound, f"origin {y_n}: {dev.round(2)}"
+
     def test_setar_with_equal_regimes_is_ar1(self):
         # Both regimes one AR(1): the cut at the threshold must not show.
         c, phi, sigma, thr = -0.8, 0.6, 0.4, -2.1
@@ -194,6 +209,12 @@ class TestMeansAgainstReference:
         means = exact_means_sdar(params, path, 5)
         with pytest.raises(ValueError, match="forecast grid keeps mass"):
             means(path)
+
+    def test_overflowing_chain_raises_without_a_warning(self):
+        # phi = e^50: the chain's means overflow long before 20 rounds
+        params = SdarParams(-1.5, PersistenceParams(-50.0, 0.0, 0.5), 0.5, PersistenceKind.M1)
+        with pytest.raises(ValueError, match="leave every finite grid within 20 steps"):
+            exact_means_sdar(params, simulate(m1_truth(), 300, seed=1).values, 20)
 
     @pytest.mark.parametrize("change, message", [
         (dict(d1=2, phi1=np.array([0.5, 0.1])), "need SETAR\\(2,1,1\\), got SETAR\\(2,2,1\\)"),
@@ -563,6 +584,84 @@ class TestPathLoopParity:
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
             assert np.array_equal(a, np.random.default_rng(5 + o).standard_normal((3, 50)))
+
+
+def conditional_means(model, history, paths):
+    """Row h: the conditional mean of step h + 1 on every path, from the lag
+    state of `reference_paths`; ``paths`` rows are the steps before it."""
+    p = max(model.d1, model.d2)
+    state = np.tile(history[-p:], (paths.shape[1], 1))
+    phi1, phi2 = model.phi1[::-1], model.phi2[::-1]
+    out = np.empty((paths.shape[0] + 1, paths.shape[1]))
+    for h in range(out.shape[0]):
+        low = state[:, -1] <= model.threshold
+        out[h] = np.where(low, model.c1 + state[:, p - model.d1 :] @ phi1,
+                          model.c2 + state[:, p - model.d2 :] @ phi2)
+        if h < paths.shape[0]:
+            state = np.concatenate([state[:, 1:], paths[h][:, None]], axis=1)
+    return out
+
+
+class TestSetarMeans:
+    """`setar_means`: antithetic conditional means on the one SETAR path loop."""
+
+    SETARS = {k: v for k, v in MODELS.items() if k.startswith("SETAR")}
+
+    def test_within_bonferroni_band_of_exact_means(self):
+        # On a first-order fit the exact means are the reference; the standard
+        # error of the mean over re-seeds comes from their own spread.
+        model, H, M, reseeds = setar_1_1(), 10, 1000, 200
+        path = data_of(model)
+        exact = exact_means_setar(model, path, H)
+        origins = [float(getattr(np, o)(path)) for o in ("min", "median", "max")]
+        bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(origins) * (H - 1)))
+        for y_n in origins:
+            draws = np.array([setar_means(model, [y_n], _normals(M, H, seed))
+                              for seed in range(reseeds)])
+            assert (draws[:, 0] == exact([y_n])[0]).all()  # step 1 is exact
+            se = draws[:, 1:].std(axis=0, ddof=1) / np.sqrt(reseeds)
+            dev = np.abs(draws[:, 1:].mean(axis=0) - exact([y_n])[1:]) / se
+            assert dev.max() < bound, f"origin {y_n:.3f}: {dev.round(2)}"
+
+    @pytest.mark.parametrize("name", list(SETARS))
+    @pytest.mark.parametrize("regime", ["low", "high"])
+    def test_step_one_is_the_conditional_mean_bit_for_bit(self, name, regime):
+        model = self.SETARS[name]()
+        history = gen_setar(50, seed=29)
+        history[-1] = model.threshold - 0.5 if regime == "low" else model.threshold + 0.5
+        c, phi = (model.c1, model.phi1) if regime == "low" else (model.c2, model.phi2)
+        want = phi[-1] * history[-phi.size]  # the loop's order: oldest lag first
+        for k in range(phi.size - 1, 0, -1):
+            want += phi[k - 1] * history[-k]
+        want += c
+        assert setar_means(model, history, _normals(50, 4, 7))[0] == want
+
+    @pytest.mark.parametrize("name", list(SETARS))
+    def test_record_leaves_the_paths_alone(self, name):
+        model, history, H, M = self.SETARS[name](), gen_setar(50, seed=29), 6, 400
+        z = _normals(M, H, 5)
+        z.flags.writeable = False
+        plain = setar_paths(model, history, z)
+        recorded, means = np.empty((H, M)), np.empty(H)
+        _setar_paths(model, history, z, recorded, means)
+        assert np.array_equal(recorded[:-1], plain[:-1])
+        want = conditional_means(model, history, plain[:-1]).mean(axis=1)
+        np.testing.assert_allclose(means, want, rtol=1e-13, atol=0)
+        fc = mc_forecast_setar(model, history, H, M, 5)
+        assert np.array_equal(fc.means, plain.mean(axis=1))
+        assert np.array_equal(fc.path_std, plain.std(axis=1, ddof=1))
+
+    @pytest.mark.parametrize("name", list(SETARS))
+    def test_antithetic_pair_and_unread_last_row(self, name):
+        model, history, H, M = self.SETARS[name](), gen_setar(50, seed=29), 5, 300
+        z = _normals(M, H, 3)
+        pair = np.concatenate([z, -z], axis=1)
+        want = conditional_means(model, history, setar_paths(model, history, pair)[:-1])
+        last_unread = z.copy()
+        last_unread[-1] = np.nan
+        got = setar_means(model, history, last_unread)
+        np.testing.assert_allclose(got, want.mean(axis=1), rtol=1e-13, atol=0)
+        assert np.array_equal(got, setar_means(model, history, z))
 
 
 class TestRelativeEfficiency:
