@@ -75,6 +75,9 @@ _OWN_FLAGS = {
     ("compare", "--mc"): dict(type=int, default=1_000, help="antithetic draws per origin "
                               "(2 x --mc paths), taken only for a SETAR with max(d1, d2) > 1, "
                               "whose means are not exact"),
+    ("compare", "--seed"): dict(type=int, default=0, help="seeds the SDAR start design and "
+                                "origin o's draw (seed + o), so seeds that gauge Monte-Carlo "
+                                "noise must lie at least the number of origins apart"),
 }
 
 

@@ -300,7 +300,11 @@ def rolling_evaluate(
         ``_normals(M, H, seed + o)``, and every forecaster gets the
         same draw. With ``M=None`` nothing is drawn and every
         forecaster gets ``z=None``, as the exact-means ones need.
-        Parameters are not re-estimated per origin.
+        Parameters are not re-estimated per origin. Origin o at seed
+        s + 1 draws what origin o + 1 draws at seed s, so runs at seeds
+        s and s + 1 share all but one of their draws: re-seeds meant to
+        gauge Monte-Carlo noise must lie at least ``len(test) - H + 1``
+        (the origin count) apart.
 
     Returns one `AccuracyReport` per forecaster, in order.
     """

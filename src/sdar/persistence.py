@@ -10,6 +10,10 @@ are well defined for negative states (log-volatility data are negative).
 Both are psi = g(u) with u = gamma0 + gamma1 * |y|^(2r), g(u) = exp(-u)
 or 1/u, so every derivative in y or (gamma0, gamma1, r) comes from one
 chain rule in which the form enters only through -g'(u) and g''(u).
+The array paths form w = |y|^(2r) one way, `_w`: exp(2r ln|y|), exactly
+0 at y = 0 and faster than a power. The profile kernel forms the same
+bits from its stored ln(y^2) without the logarithm, and only
+`model.simulate`'s scalar recursion keeps ``**``.
 
 The stationarity condition requires sup_y |psi(y)| + |y * psi'(y)| < 1.
 The supremum has a closed form: for r > 1/2 the maximum is interior,
@@ -78,18 +82,36 @@ def _log_y2(y):
     return out
 
 
+def _w(ay, r, out=None):
+    """w = |y|^(2r) from ay = |y|, formed as exp(2r ln|y|), not as a power.
+
+    ln 0 = -inf gives w = 0 exactly at y = +-0, and inf and NaN pass through, as
+    they do for ``ay ** (2r)``. The profile kernel forms the same w from its
+    stored ln(y^2) = 2 ln|y|: r * 2 ln|y| rounds like 2r * ln|y|, so the two
+    agree bit for bit at every y != 0.
+    """
+    w = np.empty_like(ay) if out is None else out
+    with np.errstate(divide="ignore"):  # ln 0 = -inf is the y = 0 lane's exact limit
+        np.log(ay, out=w)
+    return np.exp(np.multiply(2.0 * r, w, out=w), out=w)
+
+
 def _parts(kind, ay, gamma0, gamma1, r, out=None):
     """w = |y|^(2r) (0 at y = 0) and psi = g(gamma0 + gamma1 * w) from ay = |y|, unvalidated."""
     w, ps = (np.empty_like(ay), np.empty_like(ay)) if out is None else out  # buffers like ay
-    np.power(ay, 2.0 * r, out=w)
+    return _w(ay, r, out=w), _psi_of_w(kind, w, gamma0, gamma1, ps)
+
+
+def _psi_of_w(kind, w, gamma0, gamma1, ps):
+    """psi = g(gamma0 + gamma1 * w) into the buffer ps, from w = |y|^(2r)."""
     if gamma1:
         np.multiply(gamma1, w, out=ps)
     else:  # 0 * w is NaN where w overflows to inf; psi is g(gamma0) at every y
         ps.fill(0.0)
     np.add(gamma0, ps, out=ps)
     if kind is PersistenceKind.M1:
-        return w, np.exp(np.negative(ps, out=ps), out=ps)
-    return w, np.divide(1.0, ps, out=ps)
+        return np.exp(np.negative(ps, out=ps), out=ps)
+    return np.divide(1.0, ps, out=ps)
 
 
 def _neg_dg(kind, ps, out=None):
@@ -110,7 +132,7 @@ def psi(kind: PersistenceKind, y, p: PersistenceParams):
     """Evaluate the persistence function at state y (scalar or array)."""
     p.validate(kind)
     # |y|^(2r) may overflow to inf, where psi is its exact limit: 0 if gamma1 > 0,
-    # g(gamma0) if gamma1 = 0; _parts stays errstate-free for the profile kernel
+    # g(gamma0) if gamma1 = 0
     with np.errstate(over="ignore"):
         _, out = _parts(kind, np.abs(np.asarray(y, dtype=float)), p.gamma0, p.gamma1, p.r)
     return out if out.ndim else float(out)

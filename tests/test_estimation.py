@@ -273,7 +273,7 @@ class TestProfileKernel:
     @pytest.mark.parametrize("kind", [M1, M2])
     def test_series_with_exact_zero(self, kind):
         y = simulate(m1_truth(), 500, seed=64).values.copy()
-        y[[0, 17, 250]] = 0.0
+        y[[0, 17, 250]] = [0.0, -0.0, 0.0]  # both signs of zero
         box = ParamBox.default(kind)
         self.assert_identical(TimeSeries(y), kind, box, self.random_phis(box, 30, seed=65))
 

@@ -64,6 +64,32 @@ def singular_candidate_series():
     return y
 
 
+def near_singular_series(v):
+    """`singular_candidate_series` with the lag value v in place of -1.0.
+
+    The first admissible candidate's low regime again has the single
+    regressor row (1, v), but no float sum of v or v^2 is exact, so its
+    second pivot rounds to a tiny +-value where -1.0 gives exactly 0.
+    """
+    y = singular_candidate_series()
+    y[y == -1.0] = v
+    return y
+
+
+def brute_force_aic(y, thr, b1, b2):
+    """The AIC of a `brute_force_setar` fit, each regime's sigma^2 its mean squared residual."""
+    d1, d2 = b1.size - 1, b2.size - 1
+    p = max(d1, d2)
+    target, z = y[p:], y[p - 1 : -1]
+    low, ll = z <= thr, 0.0
+    for rows, b in ((low, b1), (~low, b2)):
+        lags = [y[p - i : y.size - i] for i in range(1, b.size)]
+        x = np.column_stack([np.ones(target.size)] + lags)
+        n, ssr = rows.sum(), np.sum((target[rows] - x[rows] @ b) ** 2)
+        ll += -0.5 * n * (np.log(2.0 * np.pi) + np.log(ssr / n) + 1.0)
+    return 2.0 * (d1 + d2 + 4) - 2.0 * ll
+
+
 def asymmetric_setar(n=600, seed=13):
     """A SETAR(2, 1, 3) path: an AR(1) low regime, an AR(3) high regime."""
     truth = SetarFit(c1=0.3, phi1=np.array([0.6]), sigma1=0.3,
@@ -185,9 +211,12 @@ class TestFitSetar:
                     best = i
             return best
 
+        def sweep(ssr, ok):  # an order-1 regime whose coefficients are all 0
+            return sdar.setar._Sweep([zeros, ssr], [ok, ok], [[], [zeros]], [zeros, zeros])
+
         rng = np.random.default_rng(31)
         n = 30
-        beta, zeros = np.zeros((n, 2)), np.zeros(n)
+        zeros = np.zeros(n)
         for trial in range(2000):
             levels = rng.choice([3.0, 2.0, 1.0, 1e-300, 0.0, -1.0, -2.0], rng.integers(1, 5))
             ssr = rng.choice(levels, n) * (1.0 + rng.choice([0.0, 1e-13, -1e-13, 2e-12], n))
@@ -195,7 +224,7 @@ class TestFitSetar:
             ok = rng.random(n) < 0.8
             # z_sorted[k - 1] = k - 1 = the candidate index, so the threshold names it
             design = (np.arange(n + 1.0), np.arange(1, n + 1), n + 5,
-                      {(1, False): (beta, ok, ssr), (1, True): (beta, np.ones(n, bool), zeros)})
+                      [sweep(ssr, ok), sweep(zeros, np.ones(n, bool))])
             want = sequential(ssr, ok)
             if want is None:
                 with pytest.raises(ValueError, match="all regressions singular"):
@@ -228,6 +257,54 @@ class TestFitSetar:
         doc["d1"] = True
         with pytest.raises(ValueError, match="invalid fit: d1 = True"):
             SetarFit.from_json(json.dumps(doc))
+
+
+class TestLdlSearch:
+    """The LDL' threshold search against fresh least squares at every candidate."""
+
+    SERIES = {
+        "untied": lambda: np.random.default_rng(41).standard_normal(260).cumsum() * 0.3,
+        "tied": lambda: np.round(np.random.default_rng(42).standard_normal(260).cumsum(), 0),
+        "singular": singular_candidate_series,
+        "asymmetric": lambda: asymmetric_setar(n=300),
+        "near-singular +": lambda: near_singular_series(-0.1),
+        "near-singular -": lambda: near_singular_series(-0.3),
+    }
+
+    @pytest.mark.parametrize("name", SERIES)
+    def test_all_pairs_and_selection_match_brute_force(self, name):
+        y, aics = self.SERIES[name](), {}
+        for d1 in range(1, 5):
+            for d2 in range(1, 5):
+                fit = fit_setar(TimeSeries(y), d1, d2)
+                ssr, thr, b1, b2 = brute_force_setar(y, d1, d2)
+                assert fit.threshold == thr, (d1, d2)
+                np.testing.assert_allclose(np.r_[fit.c1, fit.phi1], b1, rtol=1e-8, atol=1e-10)
+                np.testing.assert_allclose(np.r_[fit.c2, fit.phi2], b2, rtol=1e-8, atol=1e-10)
+                n1 = fit.n_obs * fit.prop_low
+                pooled = n1 * fit.sigma1**2 + (fit.n_obs - n1) * fit.sigma2**2
+                assert pooled == pytest.approx(ssr, rel=1e-9)
+                aics[d1, d2] = brute_force_aic(y, thr, b1, b2)
+                assert fit.aic == pytest.approx(aics[d1, d2], rel=1e-10)
+        for max_lag in range(1, 5):
+            best = select_setar(TimeSeries(y), max_lag)
+            lags = range(1, max_lag + 1)
+            assert (best.d1, best.d2) == min([(d1, d2) for d1 in lags for d2 in lags], key=aics.get)
+
+    @pytest.mark.parametrize("v, sign", [(-1.0, 0), (-0.1, 1), (-0.3, -1)])
+    def test_singular_pivot_decides_ok(self, v, sign):
+        # the first candidate's low regime is k rows of the lag value v alone, so
+        # its second pivot, k v^2 - (k v)^2 / k summed as the sweep sums it, is 0
+        # or a tiny +-value; the candidate counts as full-rank exactly when every
+        # pivot of its block is > 0
+        y = near_singular_series(v)
+        for p in range(1, 5):
+            _, ks, _, (low, _) = sdar.setar._design(y, p, 0.15, (p, p))
+            k = int(ks[0])
+            s1, s2 = np.cumsum(np.full(k, v))[-1], np.cumsum(np.full(k, v * v))[-1]
+            piv = s2 - s1 / k * s1
+            assert np.sign(piv) == sign and abs(piv) < 1e-12 * k
+            assert [bool(ok[0]) for ok in low.ok] == [True] + [sign > 0] * p
 
 
 class TestSelectSetar:
@@ -265,8 +342,8 @@ class TestSelectSetar:
         assert str(got.value) == str(first.value) == message
 
     def test_one_design_per_lag_order(self, monkeypatch):
-        # 4 sorted designs for 16 pairs; one stacked solve per (p, d, regime)
-        calls = {"_design": 0, "_solve_each": 0}
+        # 4 sorted designs for 16 pairs; one LDL' sweep per (p, regime) serves every d <= p
+        calls = {"_design": 0, "_sweep": 0}
         for name in calls:
             def spy(*args, _real=getattr(sdar.setar, name), _name=name):
                 calls[_name] += 1
@@ -274,10 +351,10 @@ class TestSelectSetar:
             monkeypatch.setattr(sdar.setar, name, spy)
         s = TimeSeries(gen_setar(800, seed=7))
         select_setar(s, max_lag=4)
-        assert calls == {"_design": 4, "_solve_each": 2 * (1 + 2 + 3 + 4)}
-        calls.update(_design=0, _solve_each=0)
+        assert calls == {"_design": 4, "_sweep": 2 * 4}
+        calls.update(_design=0, _sweep=0)
         fit_setar(s, 1, 4)
-        assert calls == {"_design": 1, "_solve_each": 2}
+        assert calls == {"_design": 1, "_sweep": 2}
 
     def test_zero_max_lag_rejected(self):
         # a bool is no lag order, and a float bounds no range of lag orders
