@@ -10,7 +10,8 @@ forms, and by Danskin's theorem the profile gradient is the phi block of
 the full gradient. One kernel gives the profile value and gradient to the screen
 and the optimizer, and only the profiled (alpha, sigma) to the final
 check, which reads ``model.loglik``, ``loglik_grad`` and ``loglik_hess``.
-It builds ln(y^2) and its work buffers once per fit, so a call
+It builds ln|y|, ln(y^2) and its work buffers once per fit and forms w,
+psi and their gradient with the functions of ``model._terms``, so a call
 allocates no per-point array, and `fit` validates the box once, not each
 point. Standard errors are the sandwich form (1/n) Hbar^{-1} G Hbar^{-1},
 Hbar the empirical mean Hessian and G the mean outer product of
@@ -29,9 +30,8 @@ import numpy as np
 
 from . import model as sdar_model
 from .model import PARAM_NAMES, SdarParams
-from .persistence import (
-    PersistenceKind, PersistenceParams, _check_kind, _grad_stack, _log_y2, _psi_of_w,
-)
+from .persistence import (PersistenceKind, PersistenceParams, _check_kind, _grad_stack, _log_abs,
+                          _log_y2, _psi_of_w, _w)
 from .series import TimeSeries
 
 _POLISHED = 6  # best-screened start points polished
@@ -359,28 +359,27 @@ def _start_points(
 class _ProfileKernel:
     """Profile of the likelihood over phi, and its negated value and phi gradient.
 
-    Built once per fit, it holds the lags, targets and ln(y^2) of the lags, the
-    box's alpha and sigma bounds as floats, and the work buffers w, psi and the
-    (3, n-1) psi gradient stack, which a call fills in place: it allocates no
-    per-point array and does not validate phi, as `fit` checks the box once.
-    w = |y|^(2r) is exp(r ln(y^2)), `_parts`' exp(2r ln|y|) bit for bit without
-    its logarithm. At an exact-zero lag ln(y^2) holds its placeholder 0, so w is
-    1 there, not 0; that lane's psi enters only as psi * lag and its gradient
-    entries only against xi * lag, both 0. A call evaluates the expressions of
-    ``loglik`` and ``loglik_grad`` at ``profile(phi)`` in their order, so it
-    matches them bit for bit.
+    Built once per fit, it holds the lags, targets, ln|y| and ln(y^2) of the
+    lags, the box's alpha and sigma bounds as floats, and the work buffers w,
+    psi and the (3, n-1) psi gradient stack, which a call fills in place: it
+    allocates no per-point array and does not validate phi, as `fit` checks the
+    box once. w, psi and the stack come from `_w`, `_psi_of_w` and `_grad_stack`
+    as in ``model._terms``, and a call evaluates the expressions of ``loglik``
+    and ``loglik_grad`` at ``profile(phi)`` in their order, so it matches them
+    bit for bit.
     """
 
     def __init__(self, series: TimeSeries, kind: PersistenceKind, box: ParamBox):
         self.lag, self.target, self.kind = series.values[:-1], series.values[1:], kind
-        self.log_y2, n = _log_y2(self.lag), self.lag.size
+        self.log_abs, n = _log_abs(self.lag), self.lag.size
+        self.log_y2 = _log_y2(self.log_abs)
         self.lo, self.hi = box.lower[[0, 4]].tolist(), box.upper[[0, 4]].tolist()  # alpha, sigma
         self.w, self.psi, self.stack = np.empty(n), np.empty(n), np.empty((3, n))
 
     def _eval(self, g0, g1, r):
         """alpha, sigma, -loglik and -grad at phi = (g0, g1, r), through the buffers."""
         lag, w, ps, lo, hi = self.lag, self.w, self.psi, self.lo, self.hi
-        np.exp(np.multiply(r, self.log_y2, out=w), out=w)
+        _w(self.log_abs, r, out=w)
         _psi_of_w(self.kind, w, g0, g1, ps)
         stack = _grad_stack(self.kind, w, ps, self.log_y2, g1, out=self.stack)
         pl = np.multiply(ps, lag, out=ps)  # psi * lag, in both u and xi

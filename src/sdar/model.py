@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .persistence import (PersistenceKind, PersistenceParams, _grad_stack, _hess_stack, _log_y2,
-                          _parts, psi)
+from .persistence import (PersistenceKind, PersistenceParams, _grad_stack, _hess_stack, _log_abs,
+                          _log_y2, _parts, psi)
 from .series import TimeSeries
 
 PARAM_NAMES = ("alpha", "gamma0", "gamma1", "r", "sigma")
@@ -115,7 +115,8 @@ def _gaussian_loglik(xi, s):
 def _terms(params, series):
     """Lags, innovations, psi gradient stack (3, n-1) and psi pieces (w, psi, ln y^2, gamma1)."""
     lag, p = _lag(series), params.pf
-    pieces = (*_parts(params.kind, np.abs(lag), p.gamma0, p.gamma1, p.r), _log_y2(lag), p.gamma1)
+    la = _log_abs(lag)
+    pieces = (*_parts(params.kind, la, p.gamma0, p.gamma1, p.r), _log_y2(la), p.gamma1)
     xi = series.values[1:] - params.alpha - pieces[1] * lag
     return lag, xi, _grad_stack(params.kind, *pieces), pieces
 

@@ -10,10 +10,10 @@ are well defined for negative states (log-volatility data are negative).
 Both are psi = g(u) with u = gamma0 + gamma1 * |y|^(2r), g(u) = exp(-u)
 or 1/u, so every derivative in y or (gamma0, gamma1, r) comes from one
 chain rule in which the form enters only through -g'(u) and g''(u).
-The array paths form w = |y|^(2r) one way, `_w`: exp(2r ln|y|), exactly
-0 at y = 0 and faster than a power. The profile kernel forms the same
-bits from its stored ln(y^2) without the logarithm, and only
-`model.simulate`'s scalar recursion keeps ``**``.
+Every array path takes one logarithm, `_log_abs`: ln|y|, -inf at y = 0.
+w = |y|^(2r) is `_w` of it, exp(2r ln|y|), exactly 0 at y = 0 and faster
+than a power, and ln(y^2) is `_log_y2` of it; only `model.simulate`'s
+scalar recursion keeps ``**``.
 
 The stationarity condition requires sup_y |psi(y)| + |y * psi'(y)| < 1.
 The supremum has a closed form: for r > 1/2 the maximum is interior,
@@ -73,33 +73,29 @@ def _check_kind(kind) -> None:
         raise ValueError(f"kind must be a PersistenceKind, got {kind!r}")
 
 
-def _log_y2(y):
-    """ln(y^2) with a placeholder 0 at y = 0 (always multiplied by |y|^(2r))."""
-    ay = np.atleast_1d(np.abs(np.asarray(y, dtype=float)))
-    out = np.zeros_like(ay)
-    nz = ay > 0
-    out[nz] = 2.0 * np.log(ay[nz])
-    return out
-
-
-def _w(ay, r, out=None):
-    """w = |y|^(2r) from ay = |y|, formed as exp(2r ln|y|), not as a power.
-
-    ln 0 = -inf gives w = 0 exactly at y = +-0, and inf and NaN pass through, as
-    they do for ``ay ** (2r)``. The profile kernel forms the same w from its
-    stored ln(y^2) = 2 ln|y|: r * 2 ln|y| rounds like 2r * ln|y|, so the two
-    agree bit for bit at every y != 0.
-    """
-    w = np.empty_like(ay) if out is None else out
+def _log_abs(y):
+    """ln|y| in a new float array, -inf at y = +-0: the one logarithm of w and ln(y^2)."""
+    y = np.asarray(y, dtype=float)
+    la = np.abs(y, out=np.empty_like(y))  # an array also for a scalar y
     with np.errstate(divide="ignore"):  # ln 0 = -inf is the y = 0 lane's exact limit
-        np.log(ay, out=w)
-    return np.exp(np.multiply(2.0 * r, w, out=w), out=w)
+        return np.log(la, out=la)
 
 
-def _parts(kind, ay, gamma0, gamma1, r, out=None):
-    """w = |y|^(2r) (0 at y = 0) and psi = g(gamma0 + gamma1 * w) from ay = |y|, unvalidated."""
-    w, ps = (np.empty_like(ay), np.empty_like(ay)) if out is None else out  # buffers like ay
-    return _w(ay, r, out=w), _psi_of_w(kind, w, gamma0, gamma1, ps)
+def _log_y2(la):
+    """ln(y^2) = 2 ln|y| from la = ln|y|, with a placeholder 0 at y = 0, where w is 0."""
+    return np.where(la == -np.inf, 0.0, 2.0 * la)
+
+
+def _w(la, r, out):
+    """w = |y|^(2r) = exp(2r ln|y|) into ``out`` from la = ln|y|, not as a power:
+    exactly 0 at y = +-0, and inf and NaN pass through as they do for ``**``."""
+    return np.exp(np.multiply(2.0 * r, la, out=out), out=out)
+
+
+def _parts(kind, la, gamma0, gamma1, r):
+    """w = |y|^(2r) and psi = g(gamma0 + gamma1 * w) from la = ln|y|, unvalidated."""
+    w = _w(la, r, np.empty_like(la))
+    return w, _psi_of_w(kind, w, gamma0, gamma1, np.empty_like(la))
 
 
 def _psi_of_w(kind, w, gamma0, gamma1, ps):
@@ -134,7 +130,7 @@ def psi(kind: PersistenceKind, y, p: PersistenceParams):
     # |y|^(2r) may overflow to inf, where psi is its exact limit: 0 if gamma1 > 0,
     # g(gamma0) if gamma1 = 0
     with np.errstate(over="ignore"):
-        _, out = _parts(kind, np.abs(np.asarray(y, dtype=float)), p.gamma0, p.gamma1, p.r)
+        _, out = _parts(kind, _log_abs(y), p.gamma0, p.gamma1, p.r)
     return out if out.ndim else float(out)
 
 
@@ -215,7 +211,7 @@ def _a1_grid_max(kind, p):
     half = np.geomspace(1e-12, _default_y_max(p), _GRID_POINTS // 2)
     ay = np.concatenate([half[::-1], [0.0]])  # |y| of the grid y = -ay, ascending in y
     with np.errstate(over="ignore", invalid="ignore"):  # w = |y|^(2r) may overflow to inf
-        w, ps = _parts(kind, ay, p.gamma0, p.gamma1, p.r)
+        w, ps = _parts(kind, _log_abs(ay), p.gamma0, p.gamma1, p.r)
         w *= 2.0 * p.r * p.gamma1
         w *= _neg_dg(kind, ps)  # now |y psi'(y)|; NaN (0 * inf) where gamma1 or -g'(u) is 0
     # psi, -g'(u) >= 0 and y d|y|^(2r)/dy = 2r |y|^(2r), 0 at y = 0 for every r > 0, so

@@ -10,9 +10,9 @@ are a prefix (low regime) or totals minus a prefix (high regime). One
 LDL' sweep per regime, vectorized across the candidates, factors them
 all at once, and every order d up to the sweep's reads its residual sum
 and full-rank flag off the leading pivots; only the winner's
-coefficients are back-substituted. The lag selection builds one sorted
-design per lag order p = max(d1, d2), with one sweep per regime, and
-shares it among every pair with that p.
+coefficients are back-substituted. A fit of lag orders (d1, d2) builds
+the sorted design of order p = max(d1, d2), with one order-p sweep per
+regime, and the lag selection shares it among every pair with that p.
 """
 
 from __future__ import annotations
@@ -85,14 +85,14 @@ def fit_setar(series: TimeSeries, d1: int, d2: int, trim: float = 0.15) -> Setar
     if not (_is_lag(d1) and _is_lag(d2)):
         raise ValueError(f"lag orders must be integers >= 1, got {d1!r} and {d2!r}")
     d1, d2 = int(d1), int(d2)
-    return _assemble(_design(series.values, max(d1, d2), trim, (d1, d2)), d1, d2)
+    return _assemble(_design(series.values, max(d1, d2), trim), d1, d2)
 
 
-def _design(y: np.ndarray, p: int, trim: float, orders):
+def _design(y: np.ndarray, p: int, trim: float):
     """The threshold-sorted design of lag order p, shared by every pair with
     max(d1, d2) = p: z_sorted, the admissible candidates ks, the row count and
-    the low and high regimes' `_sweep`s of their leading (d+1) blocks, d the
-    regime's entry of ``orders``."""
+    the low and high regimes' `_sweep`s of order p, whose leading (d+1) blocks
+    serve every order d <= p."""
     if not 0.0 < trim <= 0.25:
         raise ValueError("trim must be in (0, 0.25]")
     if y.size < 10 * (p + 1):
@@ -114,20 +114,17 @@ def _design(y: np.ndarray, p: int, trim: float, orders):
     if ks.size == 0:
         raise ValueError("no admissible threshold: every candidate leaves a regime too small")
 
-    # Regression columns (1, y_{t-1}, ..., y_{t-d}), in threshold order, and
+    # Regression columns (1, y_{t-1}, ..., y_{t-p}), in threshold order, and
     # their moments over the first k rows: the low regime of candidate k, and
     # the totals (last entry), from which the high regime is the difference.
-    m, at = max(orders) + 1, np.append(ks - 1, rows - 1)
+    m, at = p + 1, np.append(ks - 1, rows - 1)
     x = [np.ones(rows)] + [y[p - i : y.size - i][order] for i in range(1, m)]
     xtx = [[np.cumsum(x[i] * x[j])[at] for j in range(i + 1)] for i in range(m)]
     xty = [np.cumsum(x[i] * t_sorted)[at] for i in range(m)]
     yty = np.cumsum(t_sorted**2)[at]
     del x, t_sorted, order  # the sweeps need only the moments: free the rest first
-    sweeps = []
-    for d, high in zip(orders, (False, True)):
-        part = (lambda v: v[-1] - v[:-1]) if high else (lambda v: v[:-1])
-        sweeps.append(_sweep([[part(v) for v in row] for row in xtx[: d + 1]],
-                             [part(v) for v in xty[: d + 1]], part(yty)))
+    sweeps = [_sweep([[part(v) for v in row] for row in xtx], [part(v) for v in xty], part(yty))
+              for part in ((lambda v: v[:-1]), (lambda v: v[-1] - v[:-1]))]  # low, high
     return z_sorted, ks, rows, sweeps
 
 
@@ -159,17 +156,20 @@ def _sweep(a, b, yy) -> _Sweep:
     columns over the candidates, with SSR = yy - sum_j u_j^2 / D_j per order.
 
     One right-looking pass over the columns, without square roots. An order is
-    full-rank (ok) where each of its pivots is > 0; an exactly singular block
-    has a pivot of 0, whose divisions give inf or NaN that no ok order reads.
+    full-rank (ok) where each pivot D_j of its block is above the rounding of its
+    prefix sums, rows * eps * A_jj (rows = A_00, A_jj the diagonal before
+    elimination), as a `matrix_rank` test finds; the divisions by a smaller
+    pivot give values, inf or NaN that no ok order reads.
     """
     m = len(b)
+    floor = [np.finfo(float).eps * a[0][0] * a[j][j] for j in range(m)]
     s, u = a, b  # the Schur complements and forward terms, updated in the caller's lists
     lower = [[None] * i for i in range(m)]
     ssr, ok, v = [], [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(m):
             piv = s[j][j]
-            ok.append(piv > 0 if j == 0 else ok[-1] & (piv > 0))
+            ok.append(piv > floor[j] if j == 0 else ok[-1] & (piv > floor[j]))
             v.append(u[j] / piv)
             ssr.append((yy if j == 0 else ssr[-1]) - u[j] * v[j])
             for i in range(j + 1, m):
@@ -244,7 +244,7 @@ def select_setar(series: TimeSeries, max_lag: int = 4, trim: float = 0.15) -> Se
         for d2 in lags:
             p = max(d1, d2)
             if p not in designs:
-                designs[p] = _design(series.values, p, trim, (p, p))
+                designs[p] = _design(series.values, p, trim)
             # (p, p) is the last pair with this p, so its design is dropped there
             fits.append(_assemble(designs.pop(p) if d1 == d2 else designs[p], d1, d2))
     return fits[select_model(fits)]

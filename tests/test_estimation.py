@@ -25,6 +25,7 @@ from sdar import (
 from sdar import estimation
 from sdar.estimation import _ProfileKernel, _start_points
 from sdar.model import _per_obs_score
+from sdar.persistence import _grad_stack, _log_abs, _log_y2, _parts
 
 from conftest import gen_ar1, m1_identified_truth, m1_truth
 
@@ -309,6 +310,38 @@ class TestProfileKernel:
         monkeypatch.setattr(estimation, "_ProfileKernel", Reference)
         assert fit(y, kind, box=box, n_starts=4, seed=1).to_json() == fused
         assert len(built) == 1
+
+    @pytest.mark.parametrize("kind", [M1, M2])
+    def test_pieces_are_the_model_terms_on_every_lane(self, kind, monkeypatch):
+        # a call's w, psi, ln(y^2) and psi gradient stack are those of `_parts` and
+        # `_grad_stack` from one ln|y|, bit for bit, on +-0 lags, subnormal |y| and
+        # lanes where |y|^(2r) overflows (the kernel is not validated, so r = 200 too)
+        rng = np.random.default_rng(70)
+        y = rng.standard_normal(400)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e100, -1e150, 3e307]
+        y[rng.permutation(399)[: 4 * len(edges)]] = np.repeat(edges, 4)
+        seen = []
+
+        def spy(*args, out):
+            seen.append([a.copy() for a in args[1:4]] + [_grad_stack(*args, out=out).copy()])
+            return out
+
+        monkeypatch.setattr(estimation, "_grad_stack", spy)
+        box = ParamBox.default(kind)
+        kernel = _ProfileKernel(TimeSeries(y), kind, box)
+        la = _log_abs(y[:-1])
+        phis = [*self.random_phis(box, 30, seed=71), [box.upper[1], 0.0, 200.0],
+                [box.lower[1], 1e-3, 200.0], [box.lower[1], 5e-324, 3.0]]
+        for phi in phis:
+            g0, g1, r = map(float, phi)
+            with np.errstate(all="ignore"):  # inf * 0 on the overflow lanes, here as in the kernel
+                kernel(phi)
+                w, ps = _parts(kind, la, g0, g1, r)
+                want = [w, ps, _log_y2(la), _grad_stack(kind, w, ps, _log_y2(la), g1)]
+            got = seen.pop()
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], phi
+            assert w[y[:-1] == 0.0].tobytes() == np.zeros(8).tobytes()
+        assert np.isinf(w).any() and not seen
 
     def test_results_and_series_survive_later_calls(self):
         y = simulate(m1_truth(), 500, seed=66)

@@ -14,8 +14,8 @@ from sdar import (
     psi,
     simulate,
 )
-from sdar.persistence import (_Y_MAX_CAP, _default_y_max, _grad_stack, _hess_stack, _log_y2,
-                               _parts, _w)
+from sdar.persistence import (_Y_MAX_CAP, _default_y_max, _grad_stack, _hess_stack, _log_abs,
+                               _log_y2, _parts, _w)
 
 from conftest import m1_truth
 
@@ -56,25 +56,28 @@ def fd_best(f, x, steps=(1e-5, 1e-6, 1e-7)):
 def stacks(kind, y, p):
     """psi's gradient (3, n) and Hessian (3, 3, n) stacks in (gamma0, gamma1, r) at states y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pieces = (*_parts(kind, np.abs(y), p.gamma0, p.gamma1, p.r), _log_y2(y), p.gamma1)
+    la = _log_abs(y)
+    pieces = (*_parts(kind, la, p.gamma0, p.gamma1, p.r), _log_y2(la), p.gamma1)
     return _grad_stack(kind, *pieces), _hess_stack(kind, *pieces)
 
 
 class TestW:
-    """w = |y|^(2r), formed in one place as exp(2r ln|y|)."""
+    """w = |y|^(2r) in one formula, `_w`: exp(2r ln|y|) of the one logarithm `_log_abs`,
+    which psi, the A1 grid, the likelihood and the profile kernel all take."""
 
     R = np.r_[5e-324, 1e-300, 1e-3, 0.32, 0.5, 1.0, 1.7, 3.0, 200.0, 1e300]
 
     def test_exactly_zero_at_signed_zero_for_every_r(self, rng):
         for r in np.r_[self.R, rng.uniform(1e-3, 3.0, 40)]:
-            w = _w(np.abs(np.array([0.0, -0.0])), r)
+            w = _w(_log_abs([0.0, -0.0]), r, np.empty(2))
             assert w.tobytes() == np.zeros(2).tobytes()  # +0.0 twice, no -0.0
 
     def test_inf_and_nan_lanes_are_the_powers(self):
         # the power's lanes bit for bit, without a warning (the suite raises on one)
-        ay = np.abs(np.array([np.inf, -np.inf, np.nan, -np.nan]))
+        y = np.array([np.inf, -np.inf, np.nan, -np.nan])
         for r in self.R:
-            assert np.array_equal(_w(ay, r), ay ** (2.0 * r), equal_nan=True)
+            assert np.array_equal(_w(_log_abs(y), r, np.empty(4)), np.abs(y) ** (2.0 * r),
+                                  equal_nan=True)
 
     @pytest.mark.parametrize("kind", [M1, M2])
     def test_psi_at_inf_and_nan_lanes(self, kind):
@@ -146,9 +149,10 @@ class TestPsi:
 def y_term(kind, y, p):
     """|y psi'(y)| = 2r gamma1 |y|^(2r) (-g'(u)), with -g'(u) = psi (M1) or psi^2 (M2).
 
-    |y|^(2r) is the package's one formula, `_w`, so the A1 grid can be matched bit for bit."""
+    |y|^(2r) is the package's one formula, `_w` of `_log_abs`, so the A1 grid can be matched
+    bit for bit."""
     ps = psi(kind, y, p)
-    w = _w(np.abs(np.asarray(y, dtype=float)), p.r)
+    w = _w(_log_abs(y), p.r, np.empty(np.shape(y)))
     return 2.0 * p.r * p.gamma1 * w * (ps if kind is M1 else ps**2)
 
 
@@ -242,9 +246,9 @@ class TestPsiHess:
 
 def per_form_hessian(kind, y, p):
     """psi's Hessian written out entry by entry for each form, as two blocks; w = |y|^(2r)
-    comes from the package's one formula, `_w`."""
+    comes from the package's one formula, `_w` of `_log_abs`, and ln(y^2) is written out."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    w = _w(np.abs(y), p.r)
+    w = _w(_log_abs(y), p.r, np.empty(y.shape))
     lg = np.zeros_like(y)
     lg[y != 0] = 2.0 * np.log(np.abs(y[y != 0]))
     g1 = p.gamma1

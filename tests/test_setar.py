@@ -295,16 +295,17 @@ class TestLdlSearch:
     def test_singular_pivot_decides_ok(self, v, sign):
         # the first candidate's low regime is k rows of the lag value v alone, so
         # its second pivot, k v^2 - (k v)^2 / k summed as the sweep sums it, is 0
-        # or a tiny +-value; the candidate counts as full-rank exactly when every
-        # pivot of its block is > 0
+        # or a tiny +-value below the floor k * eps * k v^2; so at every order
+        # d >= 1 the block is rank-deficient, as `matrix_rank` finds it, whatever
+        # the residue's sign
         y = near_singular_series(v)
         for p in range(1, 5):
-            _, ks, _, (low, _) = sdar.setar._design(y, p, 0.15, (p, p))
+            _, ks, _, (low, _) = sdar.setar._design(y, p, 0.15)
             k = int(ks[0])
             s1, s2 = np.cumsum(np.full(k, v))[-1], np.cumsum(np.full(k, v * v))[-1]
             piv = s2 - s1 / k * s1
-            assert np.sign(piv) == sign and abs(piv) < 1e-12 * k
-            assert [bool(ok[0]) for ok in low.ok] == [True] + [sign > 0] * p
+            assert np.sign(piv) == sign and abs(piv) < k * np.finfo(float).eps * s2
+            assert [bool(ok[0]) for ok in low.ok] == [True] + [False] * p
 
 
 class TestSelectSetar:
