@@ -171,15 +171,26 @@ def a1_bound_closed_form(kind: PersistenceKind, p: PersistenceParams) -> float:
     For r > 1/2 the supremum is interior: M1 gives
     2r * exp(-(2r*gamma0 + 2r - 1) / (2r)) and M2 gives
     (1 + 2r)^2 / (8 r gamma0). For r <= 1/2 (or gamma1 = 0) the maximum
-    sits at y = 0 and equals psi(0).
+    sits at y = 0 and equals psi(0). Where a formula overflows (M1 gamma0
+    below about -709.78, M2 r above about 6.7e153), the bound is exp of
+    its logarithm, inf past the float maximum.
     """
     p.validate(kind)
-    m1 = kind is PersistenceKind.M1
-    if p.gamma1 == 0.0 or p.r <= 0.5:
-        return math.exp(-p.gamma0) if m1 else 1.0 / p.gamma0
-    if m1:
-        return 2.0 * p.r * math.exp(-(2.0 * p.r * p.gamma0 + 2.0 * p.r - 1.0) / (2.0 * p.r))
-    return (1.0 + 2.0 * p.r) ** 2 / (8.0 * p.r * p.gamma0)
+    m1, at_zero = kind is PersistenceKind.M1, p.gamma1 == 0.0 or p.r <= 0.5
+    try:
+        if at_zero:
+            return math.exp(-p.gamma0) if m1 else 1.0 / p.gamma0
+        if m1:
+            return 2.0 * p.r * math.exp(-(2.0 * p.r * p.gamma0 + 2.0 * p.r - 1.0) / (2.0 * p.r))
+        return (1.0 + 2.0 * p.r) ** 2 / (8.0 * p.r * p.gamma0)
+    except OverflowError:  # only M1 at y = 0 and both interior forms can raise
+        lr = math.log(p.r)
+        if m1:
+            log_bound = -p.gamma0 if at_zero else math.log(2.0) + lr - p.gamma0 - 1.0 + 0.5 / p.r
+        else:
+            log_bound = 2.0 * math.log1p(2.0 * p.r) - math.log(8.0) - lr - math.log(p.gamma0)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_bound))
 
 
 _Y_MAX_CAP = 1e12

@@ -9,10 +9,11 @@ prefix moments of the sorted design: each candidate's normal equations
 are a prefix (low regime) or totals minus a prefix (high regime). One
 LDL' sweep per regime, vectorized across the candidates, factors them
 all at once, and every order d up to the sweep's reads its residual sum
-and full-rank flag off the leading pivots; only the winner's
-coefficients are back-substituted. A fit of lag orders (d1, d2) builds
-the sorted design of order p = max(d1, d2), with one order-p sweep per
-regime, and the lag selection shares it among every pair with that p.
+and full-rank flag off the leading pivots; the sweep keeps no factor.
+Only the winner's coefficients are solved for, from its own regime rows.
+A fit of lag orders (d1, d2) builds the sorted design of order
+p = max(d1, d2), with one order-p sweep per regime, and the lag
+selection shares it among every pair with that p.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,9 +90,9 @@ def fit_setar(series: TimeSeries, d1: int, d2: int, trim: float = 0.15) -> Setar
 
 def _design(y: np.ndarray, p: int, trim: float):
     """The threshold-sorted design of lag order p, shared by every pair with
-    max(d1, d2) = p: z_sorted, the admissible candidates ks, the row count and
-    the low and high regimes' `_sweep`s of order p, whose leading (d+1) blocks
-    serve every order d <= p."""
+    max(d1, d2) = p: the admissible candidates ks, the (p + 1, rows) regressor
+    rows x and targets t in threshold order, and the low and high regimes'
+    `_sweep`s of order p, whose leading (d+1) blocks serve every order d <= p."""
     if not 0.0 < trim <= 0.25:
         raise ValueError("trim must be in (0, 0.25]")
     if y.size < 10 * (p + 1):
@@ -101,8 +101,12 @@ def _design(y: np.ndarray, p: int, trim: float):
     z = y[p - 1 : -1]  # threshold variable y_{t-1}, aligned with target
     rows = target.size
 
+    # Regression rows (1, y_{t-1}, ..., y_{t-p}) in threshold order: row 1 is
+    # the sorted threshold variable, and row i >= 1 is y[p - i + order].
     order = np.argsort(z, kind="stable")
-    z_sorted, t_sorted = z[order], target[order]
+    m, x = p + 1, np.ones((p + 1, rows))
+    x[1:] = y[order + np.arange(p - 1, -1, -1)[:, None]]
+    z_sorted, t_sorted = x[1], target[order]
     min_per_regime = p + 2
     lo_q, hi_q = np.quantile(z, [trim, 1.0 - trim])
     # Candidate k: low regime = sorted rows 0..k-1. Use the last
@@ -114,77 +118,57 @@ def _design(y: np.ndarray, p: int, trim: float):
     if ks.size == 0:
         raise ValueError("no admissible threshold: every candidate leaves a regime too small")
 
-    # Regression columns (1, y_{t-1}, ..., y_{t-p}), in threshold order, and
-    # their moments over the first k rows: the low regime of candidate k, and
+    # The moments over the first k rows: the low regime of candidate k, and
     # the totals (last entry), from which the high regime is the difference.
-    m, at = p + 1, np.append(ks - 1, rows - 1)
-    x = [np.ones(rows)] + [y[p - i : y.size - i][order] for i in range(1, m)]
+    at = np.append(ks - 1, rows - 1)
     xtx = [[np.cumsum(x[i] * x[j])[at] for j in range(i + 1)] for i in range(m)]
     xty = [np.cumsum(x[i] * t_sorted)[at] for i in range(m)]
     yty = np.cumsum(t_sorted**2)[at]
-    del x, t_sorted, order  # the sweeps need only the moments: free the rest first
     sweeps = [_sweep([[part(v) for v in row] for row in xtx], [part(v) for v in xty], part(yty))
               for part in ((lambda v: v[:-1]), (lambda v: v[-1] - v[:-1]))]  # low, high
-    return z_sorted, ks, rows, sweeps
+    return ks, x, t_sorted, sweeps
 
 
-class _Sweep(NamedTuple):
-    """One regime's normal equations A beta = b, factored A = L D L' at every candidate.
-
-    ssr[d] and ok[d] are the (K,) residual sums and full-rank flags of the
-    order-d fit, which reads the leading (d+1) block: its pivots D and forward
-    terms u are the first d+1 of any larger block's. v[j] = u_j / D_j.
-    """
-
-    ssr: list
-    ok: list
-    lower: list  # lower[i][j], j < i: the (K,) entries of L
-    v: list
-
-    def beta(self, d: int, c: int) -> np.ndarray:
-        """The order-d coefficients at candidate c, by back-substitution."""
-        beta = np.zeros(d + 1)
-        for j in range(d, -1, -1):
-            beta[j] = self.v[j][c]
-            for i in range(j + 1, d + 1):
-                beta[j] -= self.lower[i][j][c] * beta[i]
-        return beta
-
-
-def _sweep(a, b, yy) -> _Sweep:
+def _sweep(a, b, yy):
     """LDL' of the stacked systems a beta = b, a[i][j] (j <= i) and b[i] (K,)
-    columns over the candidates, with SSR = yy - sum_j u_j^2 / D_j per order.
+    columns over the candidates: the lists (ssr, ok), where ssr[d] and ok[d] are
+    the (K,) residual sums yy - sum_j u_j^2 / D_j and full-rank flags of the
+    order-d fit. That fit reads the leading (d+1) block, whose pivots D and
+    forward terms u are the first d+1 of any larger block's.
 
-    One right-looking pass over the columns, without square roots. An order is
-    full-rank (ok) where each pivot D_j of its block is above the rounding of its
-    prefix sums, rows * eps * A_jj (rows = A_00, A_jj the diagonal before
-    elimination), as a `matrix_rank` test finds; the divisions by a smaller
-    pivot give values, inf or NaN that no ok order reads.
+    One right-looking pass over the columns, without square roots; no factor
+    is kept. An order is full-rank (ok) where each pivot D_j of its block is
+    above the rounding of its prefix sums, rows * eps * A_jj (rows = A_00, A_jj
+    the diagonal before elimination), as a `matrix_rank` test finds; the
+    divisions by a smaller pivot give values, inf or NaN that no ok order reads.
     """
     m = len(b)
     floor = [np.finfo(float).eps * a[0][0] * a[j][j] for j in range(m)]
     s, u = a, b  # the Schur complements and forward terms, updated in the caller's lists
-    lower = [[None] * i for i in range(m)]
-    ssr, ok, v = [], [], []
+    ssr, ok = [], []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(m):
             piv = s[j][j]
             ok.append(piv > floor[j] if j == 0 else ok[-1] & (piv > floor[j]))
-            v.append(u[j] / piv)
-            ssr.append((yy if j == 0 else ssr[-1]) - u[j] * v[j])
+            ssr.append((yy if j == 0 else ssr[-1]) - u[j] * (u[j] / piv))
             for i in range(j + 1, m):
-                lower[i][j] = s[i][j] / piv
-                u[i] = u[i] - lower[i][j] * u[j]
+                lij = s[i][j] / piv
+                u[i] = u[i] - lij * u[j]
                 for k in range(j + 1, i + 1):
-                    s[i][k] = s[i][k] - lower[i][j] * s[k][j]
-    return _Sweep(ssr, ok, lower, v)
+                    s[i][k] = s[i][k] - lij * s[k][j]
+    return ssr, ok
 
 
 def _assemble(design, d1: int, d2: int) -> SetarFit:
-    """The SETAR(2, d1, d2) fit at the candidate of least pooled SSR."""
-    z_sorted, ks, rows, (low, high) = design
-    ssr1, ssr2 = low.ssr[d1], high.ssr[d2]
-    cands = np.flatnonzero(low.ok[d1] & high.ok[d2])
+    """The SETAR(2, d1, d2) fit at the candidate of least pooled SSR.
+
+    The sweeps score every candidate; the winner's coefficients solve each
+    regime's own normal equations, from its rows of x and t, which its ok
+    flags say are full-rank; the threshold is its last low row's y_{t-1}.
+    """
+    ks, x, t, ((ssr1, ok1), (ssr2, ok2)) = design
+    ssr1, ssr2 = ssr1[d1], ssr2[d2]
+    cands = np.flatnonzero(ok1[d1] & ok2[d2])
     if cands.size == 0:
         raise ValueError("threshold search failed: all regressions singular")
     ssr = (ssr1 + ssr2)[cands]
@@ -197,9 +181,11 @@ def _assemble(design, d1: int, d2: int) -> SetarFit:
         if best is None or s < low_ssr - 1e-12 * abs(low_ssr):
             best, low_ssr = i, s
 
-    k, beta1, beta2 = int(ks[best]), low.beta(d1, best), high.beta(d2, best)
+    k, rows = int(ks[best]), t.size
+    beta1, beta2 = (np.linalg.solve(xr @ xr.T, xr @ tr)
+                    for xr, tr in ((x[: d1 + 1, :k], t[:k]), (x[: d2 + 1, k:], t[k:])))
     ssr1, ssr2 = ssr1[best], ssr2[best]
-    threshold = float(z_sorted[k - 1])
+    threshold = float(x[1, k - 1])
     n1, n2 = k, rows - k
     sigma1 = float(np.sqrt(max(ssr1, 0.0) / n1))
     sigma2 = float(np.sqrt(max(ssr2, 0.0) / n2))

@@ -599,6 +599,19 @@ class TestCheck:
         assert main(["check", *argv.split()]) == rc
         assert f"sup bound (grid):        {grid}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, closed", [
+        ("--kind M2 --gamma0 1.5 --gamma1 0.1 --r 1e200", "3333333333333604466912"),
+        ("--kind M1 --gamma0 -1000 --gamma1 0.1 --r 0.3", "inf"),
+    ], ids=["M2-square-overflows", "M1-exp-overflows"])
+    def test_closed_form_past_the_float_range_exit_3(self, capsys, argv, closed):
+        # the direct formula raises OverflowError; the bound comes from its
+        # logarithm (inf past the float maximum), and warnings are errors here
+        assert main(["check", *argv.split()]) == 3
+        captured = capsys.readouterr()
+        assert f"sup bound (closed form): {closed}" in captured.out
+        assert "a1 (stationarity bound < 1): False" in captured.out
+        assert captured.err == ""
+
     def test_missing_params_exit_1(self, capsys):
         rc = main(["check", "--kind", "M1", "--gamma0", "0.5"])
         assert rc == 1

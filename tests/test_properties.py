@@ -2,8 +2,10 @@
 float range's edges, the fan summary's quantile order, the noiseless SDAR
 skeleton, the SETAR lag search against the
 pairwise fits it shares its designs with, the JSON round trip of both fit
-types, and `--config` entries against the same flags."""
+types, `--config` entries against the same flags, and the box-constrained
+`minimize` against a brute-force KKT enumeration."""
 
+import itertools
 import json
 
 import numpy as np
@@ -25,7 +27,7 @@ from sdar import (
     simulate,
 )
 from sdar import cli
-from sdar.estimation import select_model
+from sdar.estimation import _PG_TOL, minimize, select_model
 from sdar.forecast import QUANTILE_PROBS, _summarize
 
 from conftest import gen_ar1, gen_setar
@@ -77,9 +79,9 @@ def test_psi_is_finite_and_silent_over_the_float_range():
 def test_check_assumptions_is_finite_and_silent_where_its_bound_is_representable():
     # The closed-form bound is at most about r exp(-gamma0), so these ranges keep it
     # a float; the grid maximum exceeds it by rounding at most. Past them,
-    # a1_bound_closed_form raises OverflowError (M1 gamma0 < -709.78, M2 r > 6.7e153)
-    # or reads NaN (r near the float maximum) or 0 (M2, 8 r gamma0 overflowing), and
-    # the grid reads inf where 2 r gamma1 overflows.
+    # a1_bound_closed_form may exceed the float range (inf), or read NaN (r near the
+    # float maximum) or 0 (M2, 8 r gamma0 overflowing), and the grid reads inf where
+    # 2 r gamma1 overflows.
     rng = np.random.default_rng(108)
     for trial in range(200):
         kind = (PersistenceKind.M1, PersistenceKind.M2)[trial % 2]
@@ -217,3 +219,63 @@ def test_config_entry_is_the_flag(tmp_path):
             via_flag = vars(parser.parse_args(base + [f"{flag}={value}"]))
             assert via_config.pop("config") == str(config) and via_flag.pop("config") is None
             assert via_config == via_flag, (command, flag, value)
+
+
+def kkt_point(A, c, lo, hi):
+    """The minimizer of (x - c)' A (x - c) / 2 over [lo, hi], A SPD, by brute force:
+    each of the 3^n faces holds its fixed coordinates on a bound and solves for the
+    free ones; the face point that is feasible, with g >= 0 on each lower bound and
+    g <= 0 on each upper one, is the KKT point. Returns it and its free count."""
+    for pattern in itertools.product((0, 1, 2), repeat=c.size):  # lower, upper, free
+        pattern = np.array(pattern)
+        free, x = pattern == 2, np.where(pattern == 0, lo, hi)
+        if free.any():
+            held = ~free
+            x[free] = c[free] - np.linalg.solve(A[np.ix_(free, free)],
+                                                A[np.ix_(free, held)] @ (x[held] - c[held]))
+        g = A @ (x - c)
+        if ((lo <= x) & (x <= hi)).all() and (g[pattern == 0] >= 0).all() \
+                and (g[pattern == 1] <= 0).all():
+            return x, int(free.sum())
+    raise AssertionError("no KKT point")
+
+
+@pytest.fixture(scope="module")
+def box_quadratic_runs():
+    """(class, end-point error, max |g| over the free coordinates) of `minimize` on
+    seeded 3-D box quadratics: A SPD with eigenvalues in [0.1, 10], and c inside the
+    box with 0-3 of its coordinates moved past a bound, so the optimum is interior,
+    on a face or at a corner."""
+    rng, runs = np.random.default_rng(109), []
+    for trial in range(400):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        A = q @ np.diag(np.exp(rng.uniform(np.log(0.1), np.log(10.0), 3))) @ q.T
+        lo = rng.uniform(-2.0, 0.0, 3)
+        hi = lo + rng.uniform(0.5, 2.0, 3)
+        c, out = rng.uniform(lo, hi), rng.random(3) < trial % 4 / 3
+        c[out] += rng.choice([-1.0, 1.0], out.sum()) * rng.uniform(0.1, 3.0, out.sum()) * (hi - lo)[out]
+        want, n_free = kkt_point(A, c, lo, hi)
+        x = minimize(lambda x: (0.5 * (x - c) @ A @ (x - c), A @ (x - c)),
+                     rng.uniform(lo, hi), lo, hi).x
+        g = A @ (x - c)
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))  # as `minimize` frees them
+        kind = {3: "interior", 0: "corner"}.get(n_free, "face")
+        runs.append((kind, np.max(np.abs(x - want)), np.max(np.abs(g[free]), initial=0.0)))
+    return runs
+
+
+def test_minimize_ends_at_the_brute_force_kkt_point(box_quadratic_runs):
+    kinds = [kind for kind, _, _ in box_quadratic_runs]
+    assert min(kinds.count(k) for k in ("interior", "face", "corner")) >= 50
+    for i, (kind, x_err, g_max) in enumerate(box_quadratic_runs):
+        assert x_err <= 1e-8, (i, kind, x_err)
+        if kind != "face":
+            assert g_max <= _PG_TOL, (i, kind, g_max)
+
+
+@pytest.mark.xfail(strict=True, reason="a face run can end by the stall exit, a step that "
+                   "does not lower the value, with max |g| over its free coordinates above "
+                   "_PG_TOL: 4 of these 124 face runs, up to 7.1e-10")
+def test_minimize_meets_the_gradient_tolerance_at_face_optima(box_quadratic_runs):
+    faces = [g_max for kind, _, g_max in box_quadratic_runs if kind == "face"]
+    assert max(faces) <= _PG_TOL

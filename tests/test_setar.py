@@ -211,20 +211,21 @@ class TestFitSetar:
                     best = i
             return best
 
-        def sweep(ssr, ok):  # an order-1 regime whose coefficients are all 0
-            return sdar.setar._Sweep([zeros, ssr], [ok, ok], [[], [zeros]], [zeros, zeros])
-
         rng = np.random.default_rng(31)
         n = 30
-        zeros = np.zeros(n)
+        zeros, full = np.zeros(n), np.ones(n, bool)
+        # rows (1, j - 1) with target 0: every regime of 2 or more rows is
+        # full-rank, and its order-1 coefficients are all 0
+        x, t = np.vstack([np.ones(n + 5), np.arange(-1.0, n + 4)]), np.zeros(n + 5)
         for trial in range(2000):
             levels = rng.choice([3.0, 2.0, 1.0, 1e-300, 0.0, -1.0, -2.0], rng.integers(1, 5))
             ssr = rng.choice(levels, n) * (1.0 + rng.choice([0.0, 1e-13, -1e-13, 2e-12], n))
             ssr[rng.random(n) < 0.1] = np.nan
             ok = rng.random(n) < 0.8
-            # z_sorted[k - 1] = k - 1 = the candidate index, so the threshold names it
-            design = (np.arange(n + 1.0), np.arange(1, n + 1), n + 5,
-                      [sweep(ssr, ok), sweep(zeros, np.ones(n, bool))])
+            # candidate c has k = c + 2 low rows and x[1, k - 1] = c, so the
+            # threshold names it; the high regime keeps at least 3 rows
+            design = (np.arange(2, n + 2), x, t,
+                      [([zeros, ssr], [ok, ok]), ([zeros, zeros], [full, full])])
             want = sequential(ssr, ok)
             if want is None:
                 with pytest.raises(ValueError, match="all regressions singular"):
@@ -300,12 +301,12 @@ class TestLdlSearch:
         # the residue's sign
         y = near_singular_series(v)
         for p in range(1, 5):
-            _, ks, _, (low, _) = sdar.setar._design(y, p, 0.15)
+            ks, _, _, ((_, low_ok), _) = sdar.setar._design(y, p, 0.15)
             k = int(ks[0])
             s1, s2 = np.cumsum(np.full(k, v))[-1], np.cumsum(np.full(k, v * v))[-1]
             piv = s2 - s1 / k * s1
             assert np.sign(piv) == sign and abs(piv) < k * np.finfo(float).eps * s2
-            assert [bool(ok[0]) for ok in low.ok] == [True] + [False] * p
+            assert [bool(ok[0]) for ok in low_ok] == [True] + [False] * p
 
 
 class TestSelectSetar:
