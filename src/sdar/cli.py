@@ -54,7 +54,6 @@ _FLAGS = {
     "--kind": dict(choices=["M1", "M2", "both"], default="both"),
     "--n-starts": dict(type=int, default=16),
     "--max-lag": dict(type=int, default=4),
-    "--trim": dict(type=float, default=0.15),
     "--horizon": dict(type=int, default=20),
     "--mc": dict(type=int, default=10_000, help="Monte-Carlo paths"),
     "--mode": dict(choices=["single-origin", "rolling-origin"], default="single-origin",
@@ -191,7 +190,7 @@ def cmd_fit_sdar(args) -> int:
 
 def cmd_fit_setar(args) -> int:
     series = _train_series(args)
-    result = select_setar(series, max_lag=args.max_lag, trim=args.trim)
+    result = select_setar(series, max_lag=args.max_lag)
     _write(args, {"setar_fit.json": result.to_json()})
     print(f"SETAR(2,{result.d1},{result.d2}): aic={result.aic:.4f} "
           f"threshold={result.threshold:.4f}")
@@ -237,7 +236,7 @@ def cmd_compare(args) -> int:
 
     _, sdar_fits, best = _fit_kinds(args, train)
     sdar_fit = sdar_fits[best]
-    setar_fit = select_setar(train, max_lag=args.max_lag, trim=args.trim)
+    setar_fit = select_setar(train, max_lag=args.max_lag)
 
     # Only the means are scored. SDAR's are exact, and so are SETAR's when it is
     # first-order; a SETAR of higher order averages the conditional means of the
@@ -299,11 +298,11 @@ _SUBCOMMANDS = {
     "fit-sdar": (cmd_fit_sdar, "QML fit of the SDAR model",
                  "--input --column --n-train --kind --n-starts --config --out --seed"),
     "fit-setar": (cmd_fit_setar, "conditional-least-squares SETAR fit",
-                  "--input --column --n-train --max-lag --trim --config --out"),
+                  "--input --column --n-train --max-lag --config --out"),
     "forecast": (cmd_forecast, "Monte-Carlo forecast from a saved fit",
                  "--input --column --fit --horizon --mc --config --out --seed"),
     "compare": (cmd_compare, "SDAR vs SETAR forecast-accuracy comparison",
-                "--input --column --n-train --kind --n-starts --max-lag --trim "
+                "--input --column --n-train --kind --n-starts --max-lag "
                 "--horizon --mc --mode --config --out --seed"),
     "check": (cmd_check, "stationarity/ergodicity assumption check",
               "--kind --fit --gamma0 --gamma1 --r --config"),

@@ -171,26 +171,42 @@ def a1_bound_closed_form(kind: PersistenceKind, p: PersistenceParams) -> float:
     For r > 1/2 the supremum is interior: M1 gives
     2r * exp(-(2r*gamma0 + 2r - 1) / (2r)) and M2 gives
     (1 + 2r)^2 / (8 r gamma0). For r <= 1/2 (or gamma1 = 0) the maximum
-    sits at y = 0 and equals psi(0). Where a formula overflows (M1 gamma0
-    below about -709.78, M2 r above about 6.7e153), the bound is exp of
-    its logarithm, inf past the float maximum.
+    sits at y = 0 and equals psi(0). Wherever the direct formula does not
+    give a positive finite number (it overflows, or reads NaN or 0 where an
+    intermediate such as 2r or 8 r gamma0 overflows), the bound is exp of
+    `_a1_log_bound`: inf past the float maximum, 0 below the least subnormal.
     """
     p.validate(kind)
     m1, at_zero = kind is PersistenceKind.M1, p.gamma1 == 0.0 or p.r <= 0.5
     try:
         if at_zero:
-            return math.exp(-p.gamma0) if m1 else 1.0 / p.gamma0
-        if m1:
-            return 2.0 * p.r * math.exp(-(2.0 * p.r * p.gamma0 + 2.0 * p.r - 1.0) / (2.0 * p.r))
-        return (1.0 + 2.0 * p.r) ** 2 / (8.0 * p.r * p.gamma0)
-    except OverflowError:  # only M1 at y = 0 and both interior forms can raise
-        lr = math.log(p.r)
-        if m1:
-            log_bound = -p.gamma0 if at_zero else math.log(2.0) + lr - p.gamma0 - 1.0 + 0.5 / p.r
+            bound = math.exp(-p.gamma0) if m1 else 1.0 / p.gamma0
+        elif m1:
+            bound = 2.0 * p.r * math.exp(-(2.0 * p.r * p.gamma0 + 2.0 * p.r - 1.0) / (2.0 * p.r))
         else:
-            log_bound = 2.0 * math.log1p(2.0 * p.r) - math.log(8.0) - lr - math.log(p.gamma0)
+            bound = (1.0 + 2.0 * p.r) ** 2 / (8.0 * p.r * p.gamma0)
+        if 0.0 < bound < math.inf:
+            return bound
+    except OverflowError:  # only M1 at y = 0 and both interior forms can raise
+        pass
     with np.errstate(over="ignore"):
-        return float(np.exp(log_bound))
+        return float(np.exp(_a1_log_bound(kind, p)))
+
+
+def _a1_log_bound(kind, p):
+    """ln of the A1 bound, finite for every valid p; A1 holds iff it is < 0.
+
+    M1: -gamma0 at y = 0, else ln 2 + ln r - gamma0 - 1 + 1/(2r).
+    M2: -ln gamma0 at y = 0, else 2 ln(1 + 2r) - ln 8 - ln r - ln gamma0,
+    with ln(1 + 2r) taken as ln 2 + ln r where 2r overflows.
+    """
+    if p.gamma1 == 0.0 or p.r <= 0.5:
+        return -p.gamma0 if kind is PersistenceKind.M1 else -math.log(p.gamma0)
+    lr = math.log(p.r)
+    if kind is PersistenceKind.M1:
+        return math.log(2.0) + lr - p.gamma0 - 1.0 + 0.5 / p.r
+    l2r = math.log1p(2.0 * p.r) if 2.0 * p.r < math.inf else math.log(2.0) + lr
+    return 2.0 * l2r - math.log(8.0) - lr - math.log(p.gamma0)
 
 
 _Y_MAX_CAP = 1e12
@@ -234,14 +250,12 @@ def _a1_grid_max(kind, p):
 def check_assumptions(kind: PersistenceKind, p: PersistenceParams) -> AssumptionReport:
     """Check the stationarity bound and the ergodicity boundedness condition.
 
-    a1 holds when sup |psi| + |y psi'| < 1; a2 (psi(y)*y uniformly
-    bounded) holds for M1 whenever gamma1 > 0 and for M2 when r >= 1/2
-    with gamma1 > 0. With gamma1 = 0 the model degenerates to AR(1) and
-    psi(y)*y is linear, hence unbounded; the report flags a2 false but
-    estimation remains legitimate in that sub-case.
-
-    Known limit: with a subnormal gamma1, |y|^(2r) overflows before gamma1 |y|^(2r)
-    is O(1), so the grid misses the interior maximum; the closed form gates a1 there.
+    a1 holds when sup |psi| + |y psi'| < 1, as the closed-form bound alone
+    decides; the grid maximum is reported beside it as a cross-check and
+    casts no vote. a2 (psi(y)*y uniformly bounded) holds for M1 whenever
+    gamma1 > 0 and for M2 when r >= 1/2 with gamma1 > 0. With gamma1 = 0
+    the model degenerates to AR(1) and psi(y)*y is linear, hence unbounded;
+    the report flags a2 false but estimation remains legitimate in that sub-case.
     """
     closed = a1_bound_closed_form(kind, p)  # validates kind and p
     loc, numeric = _a1_grid_max(kind, p)
@@ -249,7 +263,7 @@ def check_assumptions(kind: PersistenceKind, p: PersistenceParams) -> Assumption
     return AssumptionReport(
         sup_bound_closed_form=closed,
         sup_bound_numeric=numeric,
-        a1_satisfied=closed < 1.0 and numeric < 1.0,  # False if either is NaN
+        a1_satisfied=closed < 1.0,  # False if it is NaN
         a2_satisfied=a2,
         grid_max_location=loc,
     )

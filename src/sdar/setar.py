@@ -3,7 +3,7 @@
 The threshold variable is y_{t-1}; the low regime (y_{t-1} <= threshold)
 follows an AR(d1) and the high regime an AR(d2), each with its own
 intercept and noise scale. The threshold is chosen by grid search over
-the unique order statistics of y_{t-1} inside a trimmed quantile band,
+the unique order statistics of y_{t-1} inside the band [TRIM, 1 - TRIM],
 minimizing the pooled sum of squared residuals. The search runs on
 prefix moments of the sorted design: each candidate's normal equations
 are a prefix (low regime) or totals minus a prefix (high regime). One
@@ -27,6 +27,8 @@ import numpy as np
 from .estimation import aic, select_model
 from .forecast import ForecastResult, _chain_means, _normals, _summarize
 from .series import TimeSeries
+
+TRIM = 0.15  # the threshold band: the y_{t-1} quantiles [TRIM, 1 - TRIM], fixed
 
 
 def _is_lag(d) -> bool:  # an integer >= 1; a bool is an Integral but not a lag order
@@ -80,21 +82,19 @@ class SetarFit:
         return fit
 
 
-def fit_setar(series: TimeSeries, d1: int, d2: int, trim: float = 0.15) -> SetarFit:
+def fit_setar(series: TimeSeries, d1: int, d2: int) -> SetarFit:
     """Conditional-least-squares fit of a SETAR(2, d1, d2) model."""
     if not (_is_lag(d1) and _is_lag(d2)):
         raise ValueError(f"lag orders must be integers >= 1, got {d1!r} and {d2!r}")
     d1, d2 = int(d1), int(d2)
-    return _assemble(_design(series.values, max(d1, d2), trim), d1, d2)
+    return _assemble(_design(series.values, max(d1, d2)), d1, d2)
 
 
-def _design(y: np.ndarray, p: int, trim: float):
+def _design(y: np.ndarray, p: int):
     """The threshold-sorted design of lag order p, shared by every pair with
     max(d1, d2) = p: the admissible candidates ks, the (p + 1, rows) regressor
     rows x and targets t in threshold order, and the low and high regimes'
     `_sweep`s of order p, whose leading (d+1) blocks serve every order d <= p."""
-    if not 0.0 < trim <= 0.25:
-        raise ValueError("trim must be in (0, 0.25]")
     if y.size < 10 * (p + 1):
         raise ValueError(f"series too short: need at least {10 * (p + 1)} observations")
     target = y[p:]
@@ -108,7 +108,7 @@ def _design(y: np.ndarray, p: int, trim: float):
     x[1:] = y[order + np.arange(p - 1, -1, -1)[:, None]]
     z_sorted, t_sorted = x[1], target[order]
     min_per_regime = p + 2
-    lo_q, hi_q = np.quantile(z, [trim, 1.0 - trim])
+    lo_q, hi_q = np.quantile(z, [TRIM, 1.0 - TRIM])
     # Candidate k: low regime = sorted rows 0..k-1. Use the last
     # occurrence of each distinct z value so duplicates collapse.
     ks = np.flatnonzero(np.diff(z_sorted) > 0) + 1
@@ -214,7 +214,7 @@ def _gaussian_loglik(n: int, sigma: float) -> float:
     return -0.5 * n * np.log(2.0 * np.pi) - n * np.log(sigma) - 0.5 * n
 
 
-def select_setar(series: TimeSeries, max_lag: int = 4, trim: float = 0.15) -> SetarFit:
+def select_setar(series: TimeSeries, max_lag: int = 4) -> SetarFit:
     """Best-AIC SETAR fit over lag orders d1, d2 in 1..max_lag.
 
     Each pair's AIC is taken on its own n - max(d1, d2) targets, so pairs of
@@ -230,7 +230,7 @@ def select_setar(series: TimeSeries, max_lag: int = 4, trim: float = 0.15) -> Se
         for d2 in lags:
             p = max(d1, d2)
             if p not in designs:
-                designs[p] = _design(series.values, p, trim)
+                designs[p] = _design(series.values, p)
             # (p, p) is the last pair with this p, so its design is dropped there
             fits.append(_assemble(designs.pop(p) if d1 == d2 else designs[p], d1, d2))
     return fits[select_model(fits)]

@@ -612,6 +612,29 @@ class TestCheck:
         assert "a1 (stationarity bound < 1): False" in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize("argv, rc, closed", [
+        ("--kind M1 --gamma0 0.4 --gamma1 0.1 --r 1e308", 3, "4931939278832037246"),
+        ("--kind M1 --gamma0 1000 --gamma1 0.1 --r 1e308", 0, "0.000000"),
+    ], ids=["M1-bound-above-1", "M1-bound-below-1"])
+    def test_closed_form_where_2r_overflows(self, capsys, argv, rc, closed):
+        # the direct formula reads NaN where 2r is inf; the bound comes from its
+        # logarithm, ln 2 + ln r - gamma0 - 1 + 1/(2r) (about e^-291 at gamma0 = 1000)
+        assert main(["check", *argv.split()]) == rc
+        captured = capsys.readouterr()
+        assert f"sup bound (closed form): {closed}" in captured.out
+        assert "nan" not in captured.out
+        assert f"a1 (stationarity bound < 1): {rc == 0}" in captured.out
+        assert captured.err == ""
+
+    def test_grid_casts_no_vote(self, capsys):
+        # 2r gamma1 overflows in the grid's |y psi'(y)| term, so the grid reads inf
+        # where the closed form is 0.833: the closed form alone decides A1
+        assert main(["check", "--kind", "M2", "--gamma0", "5", "--gamma1", "1e308",
+                     "--r", "7.3"]) == 0
+        out = capsys.readouterr().out
+        assert "sup bound (closed form): 0.833425\n" in out
+        assert "a1 (stationarity bound < 1): True" in out
+
     def test_missing_params_exit_1(self, capsys):
         rc = main(["check", "--kind", "M1", "--gamma0", "0.5"])
         assert rc == 1
@@ -686,9 +709,9 @@ COMMON = {"--input", "--column", "--config", "--out"}
 EXPECTED_FLAGS = {
     "ingest": COMMON | {"--week-len"},
     "fit-sdar": COMMON | {"--n-train", "--kind", "--n-starts", "--seed"},
-    "fit-setar": COMMON | {"--n-train", "--max-lag", "--trim"},
+    "fit-setar": COMMON | {"--n-train", "--max-lag"},
     "forecast": COMMON | {"--fit", "--horizon", "--mc", "--seed"},
-    "compare": COMMON | {"--n-train", "--kind", "--n-starts", "--max-lag", "--trim",
+    "compare": COMMON | {"--n-train", "--kind", "--n-starts", "--max-lag",
                          "--horizon", "--mc", "--mode", "--seed"},
     "check": {"--kind", "--fit", "--gamma0", "--gamma1", "--r", "--config"},
 }
@@ -701,14 +724,15 @@ class TestFlagSurface:
         flags = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                  for name, p in sub.choices.items()}
         assert flags == EXPECTED_FLAGS
-        assert sum(map(len, flags.values())) == 47
+        assert sum(map(len, flags.values())) == 45
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "--input", "{csv}", "--out", "{tmp}", "--seed", "1"],
         ["fit-setar", "--input", "{csv}", "--out", "{tmp}", "--seed", "1"],
         ["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32", "--seed", "1"],
         ["check", "--gamma0", "0.4", "--gamma1", "0.07", "--r", "0.32", "--out", "{tmp}"],
-    ], ids=["ingest-seed", "fit-setar-seed", "check-seed", "check-out"])
+        ["fit-setar", "--input", "{csv}", "--out", "{tmp}", "--trim", "0.2"],
+    ], ids=["ingest-seed", "fit-setar-seed", "check-seed", "check-out", "fit-setar-trim"])
     def test_flag_that_would_do_nothing_exit_1(self, sdar_csv, tmp_path, capsys, argv):
         argv = [a.format(csv=sdar_csv, tmp=tmp_path / "o") for a in argv]
         assert main(argv) == 1

@@ -356,6 +356,23 @@ class TestBounds:
         p = PersistenceParams(0.7, 0.0, 1.0)
         assert a1_bound_numeric(M1, p) == pytest.approx(np.exp(-0.7), rel=1e-12)
 
+    @pytest.mark.parametrize("kind, p, log_bound", [
+        # 2r overflows: the direct formula reads NaN (inf / inf)
+        (M1, PersistenceParams(0.4, 0.1, 1e308), np.log(2.0) + np.log(1e308) - 1.4),
+        (M1, PersistenceParams(1000.0, 0.1, 1e308), np.log(2.0) + np.log(1e308) - 1001.0),
+        (M2, PersistenceParams(1e300, 0.1, 1e308), np.log(1e308 / 2e300)),
+        # 8 r gamma0 overflows: the direct formula reads 0
+        (M2, PersistenceParams(1.5e256, 0.1, 1e100), np.log(1e100 / 3e256)),
+        # 2r gamma0 overflows: the direct formula reads 0
+        (M1, PersistenceParams(1000.0, 0.1, 1e306), np.log(2e306 / np.e) - 1000.0),
+    ], ids=["M1-2r-above", "M1-2r-below", "M2-2r", "M2-8r-gamma0", "M1-2r-gamma0"])
+    def test_exp_of_log_bound_where_formula_fails(self, kind, p, log_bound):
+        # the log bound is finite at every valid p; its exp is positive where it is a float
+        closed = a1_bound_closed_form(kind, p)
+        assert 0.0 < closed < np.inf
+        assert np.log(closed) == pytest.approx(log_bound, rel=1e-14)
+        assert check_assumptions(kind, p).a1_satisfied == (log_bound < 0.0)
+
     @pytest.mark.parametrize("kind", [M1, M2])
     def test_numeric_matches_closed_form(self, kind, rng):
         for _ in range(100):
@@ -450,10 +467,16 @@ class TestCheckAssumptions:
         assert not report.a1_satisfied
 
     def test_nan_bound_fails_a1(self, monkeypatch):
-        monkeypatch.setattr(sdar.persistence, "_a1_grid_max", lambda kind, p: (0.0, np.nan))
-        report = check_assumptions(M1, PersistenceParams(0.4, 0.07, 0.32))
-        assert report.sup_bound_closed_form < 1.0
-        assert not report.a1_satisfied
+        # the closed form alone decides A1: a NaN there fails it, and the grid,
+        # printed as a cross-check, casts no vote, NaN or inf
+        p = PersistenceParams(0.4, 0.07, 0.32)
+        for grid in (np.nan, np.inf):
+            monkeypatch.setattr(sdar.persistence, "_a1_grid_max", lambda kind, p: (0.0, grid))
+            report = check_assumptions(M1, p)
+            assert report.sup_bound_closed_form < 1.0
+            assert report.a1_satisfied
+        monkeypatch.setattr(sdar.persistence, "a1_bound_closed_form", lambda kind, p: np.nan)
+        assert not check_assumptions(M1, p).a1_satisfied
 
     def test_ar1_subcase_flags_a2_false(self):
         report = check_assumptions(M1, PersistenceParams(0.5, 0.0, 1.0))

@@ -7,6 +7,7 @@ types, `--config` entries against the same flags, and the box-constrained
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from sdar import (
 from sdar import cli
 from sdar.estimation import _PG_TOL, minimize, select_model
 from sdar.forecast import QUANTILE_PROBS, _summarize
+from sdar.persistence import _a1_log_bound
 
 from conftest import gen_ar1, gen_setar
 
@@ -78,10 +80,9 @@ def test_psi_is_finite_and_silent_over_the_float_range():
 
 def test_check_assumptions_is_finite_and_silent_where_its_bound_is_representable():
     # The closed-form bound is at most about r exp(-gamma0), so these ranges keep it
-    # a float; the grid maximum exceeds it by rounding at most. Past them,
-    # a1_bound_closed_form may exceed the float range (inf), or read NaN (r near the
-    # float maximum) or 0 (M2, 8 r gamma0 overflowing), and the grid reads inf where
-    # 2 r gamma1 overflows.
+    # a float; the grid maximum exceeds it by rounding at most. Past them, the
+    # closed form may exceed the float range (inf) or fall below it (0), and the
+    # grid reads inf where 2 r gamma1 overflows.
     rng = np.random.default_rng(108)
     for trial in range(200):
         kind = (PersistenceKind.M1, PersistenceKind.M2)[trial % 2]
@@ -89,7 +90,37 @@ def test_check_assumptions_is_finite_and_silent_where_its_bound_is_representable
         report = check_assumptions(kind, p)
         closed, grid = report.sup_bound_closed_form, report.sup_bound_numeric
         assert np.isfinite([closed, grid]).all() and 0.0 <= grid <= closed * (1 + 1e-12), p
-        assert report.a1_satisfied == (closed < 1.0 and grid < 1.0)
+        assert report.a1_satisfied == (closed < 1.0)
+
+
+def log_a1_bound(kind, p) -> float:
+    """ln of the A1 bound, rearranged so that no intermediate overflows:
+    (1 + 2r)^2 / (8 r gamma0) is r (2 + 1/r)^2 / (8 gamma0) for M2."""
+    if p.gamma1 == 0.0 or p.r <= 0.5:
+        return -p.gamma0 if kind is PersistenceKind.M1 else -math.log(p.gamma0)
+    if kind is PersistenceKind.M1:
+        return math.log(p.r) + math.log(2.0) - (p.gamma0 + 1.0) + 0.5 / p.r
+    return math.log(p.r) + 2.0 * math.log(2.0 + 1.0 / p.r) - math.log(8.0) - math.log(p.gamma0)
+
+
+def test_check_assumptions_closed_form_over_the_float_range():
+    # every valid (gamma0, gamma1, r) but M1's gamma0 < ln(1 / max float); the
+    # suite turns a warning into an error. The closed form is never NaN, reads 0
+    # or inf only where its logarithm lies past the float range, and decides A1.
+    rng, big = np.random.default_rng(110), np.finfo(float).max
+    for trial in range(400):
+        kind = (PersistenceKind.M1, PersistenceKind.M2)[trial % 2]
+        p = edge_params(rng, kind, -709.0, big, big, big)
+        report, log_bound = check_assumptions(kind, p), log_a1_bound(kind, p)
+        scale = 1.0 + abs(p.gamma0) + abs(math.log(p.r))  # the log form's largest terms
+        assert abs(_a1_log_bound(kind, p) - log_bound) <= 1e-14 * scale, p
+        closed = report.sup_bound_closed_form
+        assert not np.isnan(closed) and closed >= 0.0, p
+        if closed == 0.0:
+            assert log_bound < np.log(5e-324), p
+        elif closed == np.inf:
+            assert log_bound > np.log(big), p
+        assert report.a1_satisfied == (closed < 1.0)
 
 
 def test_summary_quantile_columns_are_nondecreasing():

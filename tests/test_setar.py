@@ -181,7 +181,7 @@ class TestFitSetar:
         y = TimeSeries(np.random.default_rng(0).standard_normal(100))
         with pytest.raises(ValueError):
             fit_setar(y, 0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the threshold band is the constant TRIM
             fit_setar(y, 2, 2, trim=0.4)
 
     def test_no_admissible_threshold_rejected(self):
@@ -301,7 +301,7 @@ class TestLdlSearch:
         # the residue's sign
         y = near_singular_series(v)
         for p in range(1, 5):
-            ks, _, _, ((_, low_ok), _) = sdar.setar._design(y, p, 0.15)
+            ks, _, _, ((_, low_ok), _) = sdar.setar._design(y, p)
             k = int(ks[0])
             s1, s2 = np.cumsum(np.full(k, v))[-1], np.cumsum(np.full(k, v * v))[-1]
             piv = s2 - s1 / k * s1
@@ -329,7 +329,8 @@ class TestSelectSetar:
     @pytest.mark.parametrize("y, kwargs, message", [
         (gen_setar(45, seed=1), {"max_lag": 4},
          "series too short: need at least 50 observations"),
-        (gen_setar(500, seed=1), {"trim": 0.3}, "trim must be in (0, 0.25]"),
+        (np.r_[np.zeros(25), 1.0, np.zeros(24)], {"max_lag": 4},
+         "no admissible threshold: every candidate leaves a regime too small"),
         (np.random.default_rng(0).integers(0, 2, 200).astype(float), {"max_lag": 2},
          "threshold search failed: all regressions singular"),
     ])
@@ -338,7 +339,7 @@ class TestSelectSetar:
         with pytest.raises(ValueError) as first:
             for d1 in lags:
                 for d2 in lags:
-                    fit_setar(s, d1, d2, kwargs.get("trim", 0.15))
+                    fit_setar(s, d1, d2)
         with pytest.raises(ValueError) as got:
             select_setar(s, **kwargs)
         assert str(got.value) == str(first.value) == message
