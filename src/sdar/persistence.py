@@ -10,15 +10,15 @@ are well defined for negative states (log-volatility data are negative).
 Both are psi = g(u) with u = gamma0 + gamma1 * |y|^(2r), g(u) = exp(-u)
 or 1/u, so every derivative in y or (gamma0, gamma1, r) comes from one
 chain rule in which the form enters only through -g'(u) and g''(u).
-Every array path takes one logarithm, `_log_abs`: ln|y|, -inf at y = 0.
+Every array path in y takes one logarithm, `_log_abs`: ln|y|, -inf at y = 0.
 w = |y|^(2r) is `_w` of it, exp(2r ln|y|), exactly 0 at y = 0 and faster
 than a power, and ln(y^2) is `_log_y2` of it; only `model.simulate`'s
 scalar recursion keeps ``**``.
 
 The stationarity condition requires sup_y |psi(y)| + |y * psi'(y)| < 1.
-The supremum has a closed form: for r > 1/2 the maximum is interior,
-for r <= 1/2 it sits at y = 0. A dense-grid numeric maximizer serves as
-the independent cross-check.
+The supremum has a closed form, taken as exp of its logarithm (interior for
+r > 1/2, at y = 0 for r <= 1/2); a dense grid over v = gamma1 * |y|^(2r), where
+the objective's shape is free of gamma1 and of the scale of y, cross-checks it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class PersistenceParams:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of the stationarity/ergodicity checks for one parameter set."""
+    """Outcome of the stationarity/ergodicity checks for one parameter set. The grid's
+    location y* <= 0 is 0.0 at y = 0 and -inf only where |y*| lies past the float range."""
 
     sup_bound_closed_form: float
     sup_bound_numeric: float
@@ -166,29 +167,13 @@ def _hess_stack(kind, w, ps, lg, g1):
 
 
 def a1_bound_closed_form(kind: PersistenceKind, p: PersistenceParams) -> float:
-    """sup over y of |psi(y)| + |y * psi'(y)|, in closed form.
+    """sup over y of |psi(y)| + |y * psi'(y)|, in closed form, as exp of `_a1_log_bound`.
 
-    For r > 1/2 the supremum is interior: M1 gives
-    2r * exp(-(2r*gamma0 + 2r - 1) / (2r)) and M2 gives
-    (1 + 2r)^2 / (8 r gamma0). For r <= 1/2 (or gamma1 = 0) the maximum
-    sits at y = 0 and equals psi(0). Wherever the direct formula does not
-    give a positive finite number (it overflows, or reads NaN or 0 where an
-    intermediate such as 2r or 8 r gamma0 overflows), the bound is exp of
-    `_a1_log_bound`: inf past the float maximum, 0 below the least subnormal.
+    Interior for r > 1/2: 2r * exp(-(2r*gamma0 + 2r - 1) / (2r)) (M1), (1 + 2r)^2 / (8 r
+    gamma0) (M2); psi(0) for r <= 1/2 or gamma1 = 0. No intermediate such as 2r overflows:
+    the bound is inf past the float maximum and 0 below the least subnormal.
     """
     p.validate(kind)
-    m1, at_zero = kind is PersistenceKind.M1, p.gamma1 == 0.0 or p.r <= 0.5
-    try:
-        if at_zero:
-            bound = math.exp(-p.gamma0) if m1 else 1.0 / p.gamma0
-        elif m1:
-            bound = 2.0 * p.r * math.exp(-(2.0 * p.r * p.gamma0 + 2.0 * p.r - 1.0) / (2.0 * p.r))
-        else:
-            bound = (1.0 + 2.0 * p.r) ** 2 / (8.0 * p.r * p.gamma0)
-        if 0.0 < bound < math.inf:
-            return bound
-    except OverflowError:  # only M1 at y = 0 and both interior forms can raise
-        pass
     with np.errstate(over="ignore"):
         return float(np.exp(_a1_log_bound(kind, p)))
 
@@ -209,42 +194,38 @@ def _a1_log_bound(kind, p):
     return 2.0 * l2r - math.log(8.0) - lr - math.log(p.gamma0)
 
 
-_Y_MAX_CAP = 1e12
-_GRID_POINTS = 100_000  # the A1 grid: half of them log-spaced over y < 0, then y = 0
-
-
-def _default_y_max(p: PersistenceParams) -> float:
-    # Past 10 * (gamma0/gamma1)^(1/2r) the objective's tails are
-    # monotone decreasing, so any interior maximum is captured. With
-    # tiny gamma1 and small r that scale overflows a float (gamma0/gamma1
-    # is inf for a subnormal gamma1), so it is taken only in log space and
-    # capped; for r <= 1/2 the supremum sits at y = 0 anyway.
-    if p.gamma1 <= 0.0:
-        return 10.0
-    g0 = max(abs(p.gamma0), 1.0)
-    log_scale = (math.log(g0) - math.log(p.gamma1)) / (2.0 * p.r)
-    if log_scale >= math.log(_Y_MAX_CAP / 10.0):
-        return _Y_MAX_CAP
-    return max(10.0 * math.exp(log_scale), 10.0)
+_GRID_POINTS = 100_000  # the A1 grid: v = 0, then log-spaced v > 0
 
 
 def a1_bound_numeric(kind: PersistenceKind, p: PersistenceParams) -> float:
-    """Grid maximum of |psi| + |y psi'| on a log-dense grid over y <= 0 (the objective is even)."""
+    """Grid maximum of |psi(y)| + |y psi'(y)|, taken over v = gamma1 |y|^(2r) >= 0."""
     return _a1_grid_max(kind, p)[1]
 
 
 def _a1_grid_max(kind, p):
+    """(y, value) at the grid maximum of f(v) = g(gamma0 + v) + 2r v (-g'(gamma0 + v)),
+    |psi(y)| + |y psi'(y)| at v = gamma1 |y|^(2r) >= 0, whose shape is free of gamma1 and
+    of the scale of y. f falls past v = max(1, gamma0) (peak at 1 - 1/(2r) for M1, gamma0
+    (2r - 1) / (2r + 1) for M2), so the grid is v = 0, alone if gamma1 = 0, and v log-spaced
+    from 1e-12 to 10 max(1, gamma0), at most the float maximum. v (-g') is (v psi) c, c = 1
+    (M1) or psi (M2), times 2 and then r, so neither psi^2 underflows nor 2r overflows.
+    Edges: gamma0 + v overflows for M2 near the float maximum, where the grid reads low,
+    and M1's psi keeps few digits past gamma0 = 708 (0 past 745).
+    """
     p.validate(kind)
-    half = np.geomspace(1e-12, _default_y_max(p), _GRID_POINTS // 2)
-    ay = np.concatenate([half[::-1], [0.0]])  # |y| of the grid y = -ay, ascending in y
-    with np.errstate(over="ignore", invalid="ignore"):  # w = |y|^(2r) may overflow to inf
-        w, ps = _parts(kind, _log_abs(ay), p.gamma0, p.gamma1, p.r)
-        w *= 2.0 * p.r * p.gamma1
-        w *= _neg_dg(kind, ps)  # now |y psi'(y)|; NaN (0 * inf) where gamma1 or -g'(u) is 0
-    # psi, -g'(u) >= 0 and y d|y|^(2r)/dy = 2r |y|^(2r), 0 at y = 0 for every r > 0, so
-    vals = np.add(ps, np.fmax(w, 0.0, out=w), out=w)  # |psi| + |y psi'(y)|, the NaNs as 0
-    k = int(np.argmax(vals))
-    return 0.0 - float(ay[k]), float(vals[k])  # 0.0 - 0.0 is 0.0, never -0.0
+    top = min(math.log(10.0) + math.log(max(1.0, p.gamma0)), math.log(np.finfo(float).max))
+    v = np.zeros(_GRID_POINTS if p.gamma1 else 1)
+    np.exp(np.linspace(math.log(1e-12), top, v.size - 1), out=v[1:])
+    with np.errstate(over="ignore"):  # gamma0 + v, or M1's psi(0), may overflow to inf
+        f = _psi_of_w(kind, v, p.gamma0, 1.0, np.empty_like(v))  # psi = g(gamma0 + v)
+        t = np.multiply(v[1:], f[1:])  # the term is 0 at v = 0, also where psi(0) is inf
+        if kind is PersistenceKind.M2:
+            t *= f[1:]
+        t *= 2.0
+        f[1:] += np.multiply(t, p.r, out=t)
+        k = int(np.argmax(f))  # |y| past the float range is inf; 0.0 - 0.0 is never -0.0
+        y = 0.0 - float(np.exp((math.log(v[k]) - math.log(p.gamma1)) / (2.0 * p.r))) if k else 0.0
+    return y, float(f[k])
 
 
 def check_assumptions(kind: PersistenceKind, p: PersistenceParams) -> AssumptionReport:

@@ -591,11 +591,12 @@ class TestCheck:
 
     @pytest.mark.parametrize("argv, rc, grid", [
         ("--kind M1 --gamma0 0.4 --gamma1 0 --r 200", 0, "0.670320"),
-        ("--kind M1 --gamma0 0.4 --gamma1 0.07 --r 200", 3, "98.729187"),
-        ("--kind M2 --gamma0 1.5 --gamma1 1e-6 --r 200", 3, "66.793901"),
+        ("--kind M1 --gamma0 0.4 --gamma1 0.07 --r 200", 3, "98.885690"),
+        ("--kind M2 --gamma0 1.5 --gamma1 1e-6 --r 200", 3, "67.000417"),
     ], ids=["M1-gamma1-zero", "M1", "M2"])
     def test_grid_where_power_overflows(self, capsys, argv, rc, grid):
-        # |y|^400 overflows on the grid; warnings are errors under pytest
+        # |y|^400 overflows past |y| of about 6, but the grid runs over gamma1 |y|^(2r) and
+        # finds the narrow peak (closed forms 98.885691 and 67.000417); warnings are errors
         assert main(["check", *argv.split()]) == rc
         assert f"sup bound (grid):        {grid}\n" in capsys.readouterr().out
 
@@ -627,12 +628,13 @@ class TestCheck:
         assert captured.err == ""
 
     def test_grid_casts_no_vote(self, capsys):
-        # 2r gamma1 overflows in the grid's |y psi'(y)| term, so the grid reads inf
-        # where the closed form is 0.833: the closed form alone decides A1
+        # the closed form alone decides A1; the grid, which runs over gamma1 |y|^(2r) and
+        # so never forms 2r gamma1 = inf, agrees with it
         assert main(["check", "--kind", "M2", "--gamma0", "5", "--gamma1", "1e308",
                      "--r", "7.3"]) == 0
         out = capsys.readouterr().out
         assert "sup bound (closed form): 0.833425\n" in out
+        assert "sup bound (grid):        0.833425\n" in out
         assert "a1 (stationarity bound < 1): True" in out
 
     def test_missing_params_exit_1(self, capsys):

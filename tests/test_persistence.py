@@ -14,8 +14,7 @@ from sdar import (
     psi,
     simulate,
 )
-from sdar.persistence import (_Y_MAX_CAP, _default_y_max, _grad_stack, _hess_stack, _log_abs,
-                               _log_y2, _parts, _w)
+from sdar.persistence import _grad_stack, _hess_stack, _log_abs, _log_y2, _parts, _w
 
 from conftest import m1_truth
 
@@ -63,7 +62,7 @@ def stacks(kind, y, p):
 
 class TestW:
     """w = |y|^(2r) in one formula, `_w`: exp(2r ln|y|) of the one logarithm `_log_abs`,
-    which psi, the A1 grid, the likelihood and the profile kernel all take."""
+    which psi, the likelihood and the profile kernel all take."""
 
     R = np.r_[5e-324, 1e-300, 1e-3, 0.32, 0.5, 1.0, 1.7, 3.0, 200.0, 1e300]
 
@@ -149,8 +148,7 @@ class TestPsi:
 def y_term(kind, y, p):
     """|y psi'(y)| = 2r gamma1 |y|^(2r) (-g'(u)), with -g'(u) = psi (M1) or psi^2 (M2).
 
-    |y|^(2r) is the package's one formula, `_w` of `_log_abs`, so the A1 grid can be matched
-    bit for bit."""
+    |y|^(2r) is the package's one formula, `_w` of `_log_abs`."""
     ps = psi(kind, y, p)
     w = _w(_log_abs(y), p.r, np.empty(np.shape(y)))
     return 2.0 * p.r * p.gamma1 * w * (ps if kind is M1 else ps**2)
@@ -397,28 +395,43 @@ def a1_params(kind, rng, i):
 
 
 class TestA1Grid:
-    """The grid covers y <= 0 only, because the A1 objective is even in y bit for bit."""
+    """The grid runs over v = gamma1 |y|^(2r) and reports its maximum at y <= 0, since the
+    A1 objective is even in y bit for bit."""
 
     @pytest.mark.parametrize("kind", [M1, M2])
     def test_objective_even_bitwise(self, kind, rng):
-        # 0, a subnormal, tiny, random and the grid's largest |y|
-        mags = np.r_[0.0, 5e-324, 1e-300, 1e-12, 10 ** rng.uniform(-8, 12, 200), _Y_MAX_CAP]
+        # 0, a subnormal, tiny, random and large |y|
+        mags = np.r_[0.0, 5e-324, 1e-300, 1e-12, 10 ** rng.uniform(-8, 12, 200), 1e12]
         for i in range(40):
             p = a1_params(kind, rng, i)
             assert a1_objective(kind, mags, p).tobytes() == a1_objective(kind, -mags, p).tobytes()
 
     @pytest.mark.parametrize("kind", [M1, M2])
-    def test_matches_mirrored_grid(self, kind, rng):
-        # the full mirrored grid is the reference; its first argmax is the answer
+    def test_value_is_the_objective_at_its_location(self, kind, rng):
+        # psi and y_term, evaluated in y at the reported location, give the grid value
         for i in range(12):
             p = a1_params(kind, rng, i)
-            half = np.geomspace(1e-12, _default_y_max(p), 100_000 // 2)
-            grid = np.concatenate([-half[::-1], [0.0], half])
-            vals = a1_objective(kind, grid, p)
-            k = int(np.argmax(vals))
-            assert a1_bound_numeric(kind, p) == vals[k]
-            loc = check_assumptions(kind, p).grid_max_location
-            assert (loc, np.signbit(loc)) == (grid[k], np.signbit(grid[k]))  # 0.0, never -0.0
+            report = check_assumptions(kind, p)
+            loc = report.grid_max_location
+            assert loc < 0.0 or (loc, np.signbit(loc)) == (0.0, False)  # 0.0, never -0.0
+            assert a1_objective(kind, loc, p) == pytest.approx(a1_bound_numeric(kind, p), rel=1e-12)
+            assert report.sup_bound_numeric == a1_bound_numeric(kind, p)
+
+    @pytest.mark.parametrize("kind, p", [
+        (M1, PersistenceParams(0.4, 0.1, 200.0)),
+        (M1, PersistenceParams(0.4, 0.1, 1e4)),
+        (M1, PersistenceParams(0.4, 0.1, 1e6)),
+        (M1, PersistenceParams(0.4, 0.1, 1e308)),
+        (M2, PersistenceParams(1.5e256, 0.1, 1e100)),
+        (M2, PersistenceParams(1 + 2.2e-16, 1.7e308, 7.3)),
+    ], ids=["M1-r200", "M1-r1e4", "M1-r1e6", "M1-r1e308", "M2-gamma0-1.5e256", "M2-gamma1-1.7e308"])
+    def test_finds_the_closed_form_peak(self, kind, p):
+        # a y-grid missed the narrow peak at large r (it read psi(0) from r = 1e6 on), read
+        # 1/gamma0 at M2 gamma0 = 1.5e256 and inf where 2r gamma1 overflowed
+        closed, grid = a1_bound_closed_form(kind, p), a1_bound_numeric(kind, p)
+        assert np.isfinite(grid)
+        assert grid == pytest.approx(closed, rel=1e-5)
+        assert grid <= closed * (1 + 1e-12)
 
 
 class TestCheckAssumptions:
@@ -458,8 +471,8 @@ class TestCheckAssumptions:
     @pytest.mark.parametrize("kind, p", [(M1, PersistenceParams(0.0, 5e-324, 15.0)),
                                          (M2, PersistenceParams(1.5, 1e-310, 15.0))])
     def test_subnormal_gamma1_grid_is_silent_and_finite(self, kind, p):
-        # gamma0 / gamma1 is inf for a subnormal gamma1, so the grid end is taken in log
-        # space; |y|^(2r) overflows before gamma1 |y|^(2r) is O(1), so the grid reads low
+        # gamma0 / gamma1 is inf for a subnormal gamma1; the grid runs over gamma1 |y|^(2r),
+        # so its maximum lies at a finite |y| of about 1e10
         report = check_assumptions(kind, p)  # any warning is an error in this suite
         assert np.isfinite(report.sup_bound_numeric)
         assert np.isfinite(report.grid_max_location)

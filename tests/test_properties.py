@@ -1,5 +1,5 @@
-"""Properties checked over seeded numpy draws: psi and the A1 check at the
-float range's edges, the fan summary's quantile order, the noiseless SDAR
+"""Properties checked over seeded numpy draws: psi, the A1 check and `check`'s
+argvs at the float range's edges, the fan summary's quantile order, the noiseless SDAR
 skeleton, the SETAR lag search against the
 pairwise fits it shares its designs with, the JSON round trip of both fit
 types, `--config` entries against the same flags, and the box-constrained
@@ -55,7 +55,7 @@ def edge_params(rng, kind, g0_lo, g0_hi, g1_hi, r_hi):
     """gamma0 in [g0_lo, g0_hi] (M2: (1, g0_hi]), gamma1 in {0} u [5e-324, g1_hi] and r in
     [5e-324, r_hi], at their ends, subnormals included, or log-uniform in magnitude."""
     if kind is PersistenceKind.M1:
-        bound = -g0_lo if rng.random() < 0.5 else g0_hi
+        bound = g0_lo if rng.random() < 0.5 else g0_hi
         g0 = np.copysign(edge_value(rng, [0.0, abs(bound)], 5e-324, abs(bound)), bound)
     else:
         g0 = 1.0 + edge_value(rng, [2.3e-16, g0_hi], 2.3e-16, g0_hi)
@@ -79,17 +79,20 @@ def test_psi_is_finite_and_silent_over_the_float_range():
 
 
 def test_check_assumptions_is_finite_and_silent_where_its_bound_is_representable():
-    # The closed-form bound is at most about r exp(-gamma0), so these ranges keep it
-    # a float; the grid maximum exceeds it by rounding at most. Past them, the
-    # closed form may exceed the float range (inf) or fall below it (0), and the
-    # grid reads inf where 2 r gamma1 overflows.
-    rng = np.random.default_rng(108)
-    for trial in range(200):
+    # every valid (gamma0, gamma1, r) with gamma0 in [-709, 1e300]; the suite turns a
+    # warning into an error. Wherever the closed form is a float, the grid over
+    # v = gamma1 |y|^(2r) is finite, at most the closed form up to rounding, and within
+    # 1e-5 of it (0 where it is 0); where the closed form is inf, the grid is not NaN.
+    rng, big = np.random.default_rng(108), np.finfo(float).max
+    for trial in range(400):
         kind = (PersistenceKind.M1, PersistenceKind.M2)[trial % 2]
-        p = edge_params(rng, kind, -600.0, 1e200, 1e300, 1e40)
+        p = edge_params(rng, kind, -709.0, 1e300, big, big)
         report = check_assumptions(kind, p)
         closed, grid = report.sup_bound_closed_form, report.sup_bound_numeric
-        assert np.isfinite([closed, grid]).all() and 0.0 <= grid <= closed * (1 + 1e-12), p
+        assert grid >= 0.0, p
+        if closed < np.inf:
+            assert np.isfinite(grid) and grid <= closed * (1 + 1e-12), p
+            assert abs(grid - closed) <= 1e-5 * closed, p
         assert report.a1_satisfied == (closed < 1.0)
 
 
@@ -250,6 +253,29 @@ def test_config_entry_is_the_flag(tmp_path):
             via_flag = vars(parser.parse_args(base + [f"{flag}={value}"]))
             assert via_config.pop("config") == str(config) and via_flag.pop("config") is None
             assert via_config == via_flag, (command, flag, value)
+
+
+def test_check_argvs_at_extreme_values_end_in_an_exit_code(capsys):
+    # `check` over extreme --gamma0/--gamma1/--r values of both kinds, run in process; the
+    # suite turns a warning into an error, so a warning or an uncaught exception fails here.
+    # Exit 0 or 3 is an A1 verdict; exit 1 is an input error and prints one.
+    rng = np.random.default_rng(111)
+    ends = ["0", "-0", "5e-324", "1e-300", "0.5", "1", "1.0000000000000002", "7.3", "-709",
+            "-1000", "1e300", "1.7976931348623157e308", "-1e308", "1e309", "inf", "nan"]
+    codes = set()
+    for trial in range(300):
+        # an end value, or a log-uniform magnitude, negative half the time for gamma0
+        values = [str(rng.choice(ends)) if rng.random() < 0.4 else
+                  repr((-1.0 if rng.random() < neg else 1.0) * 10.0 ** rng.uniform(-323, 308))
+                  for neg in (0.5, 0.1, 0.1)]
+        argv = ["check", f"--kind={('M1', 'M2')[trial % 2]}"] + [
+            f"--{name}={value}" for name, value in zip(("gamma0", "gamma1", "r"), values)]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 3), argv
+        assert captured.err.startswith("error: ") if rc == 1 else captured.err == "", argv
+        codes.add(rc)
+    assert codes == {0, 1, 3}
 
 
 def kkt_point(A, c, lo, hi):
